@@ -11,6 +11,9 @@ from __future__ import annotations
 from .asyncblock import AsyncBlockingRule
 from .base import ImportMap, Rule
 from .conformance import (
+    CHANNEL_ADAPTERS,
+    CHANNEL_PROTOCOL_NAMES,
+    CHANNEL_PROTOCOLS_REL,
     STORE_ADAPTERS,
     STORE_PROTOCOL_NAMES,
     STORE_PROTOCOLS_REL,
@@ -47,6 +50,17 @@ def default_rules() -> list[Rule]:
             description=(
                 "persistence backends (MemoryStore, SqliteStore) must "
                 "structurally match the JobStore protocol in store/base.py"
+            ),
+        ),
+        ProtocolConformanceRule(
+            adapters=CHANNEL_ADAPTERS,
+            protocols_rel=CHANNEL_PROTOCOLS_REL,
+            protocol_names=CHANNEL_PROTOCOL_NAMES,
+            name="channel-protocol",
+            description=(
+                "worker channels (_ThreadChannel, _PipeChannel, "
+                "_SocketChannel) must structurally match the WorkerChannel "
+                "protocol in execution/substrate.py"
             ),
         ),
         AsyncBlockingRule(),

@@ -34,25 +34,18 @@ PROTOCOLS_REL = "dispatch/protocols.py"
 PROTOCOL_NAMES: tuple[str, ...] = ("Clock", "Transport", "ComputeHost")
 
 #: adapter file -> {adapter class -> protocol it implements}.  One entry
-#: per execution substrate (simulation, threaded, process, remote).
+#: per clock domain: the simulated substrate, and the one wall-clock kit
+#: every real backend (threaded, process, remote) is assembled from.
 DEFAULT_ADAPTERS: Mapping[str, Mapping[str, str]] = {
     "simulation/master.py": {
         "_SimClock": "Clock",
         "_SimTransport": "Transport",
         "_SimHost": "ComputeHost",
     },
-    "execution/local.py": {
+    "execution/substrate.py": {
         "ScaledWallClock": "Clock",
-        "_LocalTransport": "Transport",
-        "_LocalThreadHost": "ComputeHost",
-    },
-    "execution/process_backend.py": {
-        "_ProcessTransport": "Transport",
-        "_ProcessHost": "ComputeHost",
-    },
-    "net/remote.py": {
-        "_RemoteTransport": "Transport",
-        "_RemoteHost": "ComputeHost",
+        "ScaledLinkTransport": "Transport",
+        "ChannelHost": "ComputeHost",
     },
 }
 
@@ -63,6 +56,16 @@ STORE_PROTOCOL_NAMES: tuple[str, ...] = ("JobStore",)
 STORE_ADAPTERS: Mapping[str, Mapping[str, str]] = {
     "store/memory.py": {"MemoryStore": "JobStore"},
     "store/sqlite.py": {"SqliteStore": "JobStore"},
+}
+
+#: Third instance: what a real backend actually supplies -- its worker
+#: channel -- must match ``WorkerChannel`` in the substrate kit.
+CHANNEL_PROTOCOLS_REL = "execution/substrate.py"
+CHANNEL_PROTOCOL_NAMES: tuple[str, ...] = ("WorkerChannel",)
+CHANNEL_ADAPTERS: Mapping[str, Mapping[str, str]] = {
+    "execution/local.py": {"_ThreadChannel": "WorkerChannel"},
+    "execution/process_backend.py": {"_PipeChannel": "WorkerChannel"},
+    "net/remote.py": {"_SocketChannel": "WorkerChannel"},
 }
 
 

@@ -19,9 +19,10 @@ cannot tell which.  :class:`DispatchCore` is that loop, written once:
 
 What differs per backend arrives as a
 :class:`~repro.dispatch.protocols.DispatchSubstrate` (clock, transport,
-compute host, probe cost source); the backends themselves are thin
-adapters in :mod:`repro.simulation.master`, :mod:`repro.execution.local`
-and :mod:`repro.execution.process_backend`.
+compute host, probe cost source), of which there are exactly two
+implementations: the simulated one in :mod:`repro.simulation.master` and
+the wall-clock kit in :mod:`repro.execution.substrate`, which the thread,
+process and socket backends share (each supplies only a worker channel).
 
 Observability (``chunk.dispatched`` / ``chunk.completed`` /
 ``probe.finished`` events, chunk metrics, probe/plan/run spans) is

@@ -8,13 +8,17 @@ protocols:
 
 * :class:`Clock` -- where "now" comes from: the discrete-event engine's
   simulated clock, or scaled wall time;
-* :class:`Transport` -- how a chunk physically reaches a worker: a
-  modeled transfer on the simulated serialized link, an inbox-directory
-  write behind a scaled sleep, or a chunk file plus a JSON-lines pipe
-  command;
+* :class:`Transport` -- how a chunk occupies the serialized master
+  link: a modeled transfer on the simulated link, or the master thread
+  extracting the real bytes and sleeping the scaled transfer time;
 * :class:`ComputeHost` -- where chunk computation happens: simulated
-  worker event queues, one thread per worker, or one OS process per
-  worker.
+  worker event queues, or real workers (threads, OS processes, socket
+  endpoints) behind one completion-queue host.
+
+Each has one simulated implementation (:mod:`repro.simulation.master`)
+and one wall-clock implementation (:mod:`repro.execution.substrate`);
+what differs between the real backends -- delivering a request to
+worker *i* and reading its reply -- is that kit's ``WorkerChannel``.
 
 Everything else -- the probe phase, scheduler driving, division
 snapping, serialized-link arbitration, retry/retransmit policy,
@@ -59,8 +63,8 @@ class Transport(Protocol):
     exactly once per ``send`` when the payload has fully arrived -- a
     blocking transport calls it before ``send`` returns; an event-driven
     one schedules it.  ``payload`` is transport-specific and opaque to
-    the core (``None``, in-memory bytes, or a path); it is forwarded
-    verbatim to ``ComputeHost.enqueue``.
+    the core (``None`` in simulation, the chunk bytes on real backends);
+    it is forwarded verbatim to ``ComputeHost.enqueue``.
     """
 
     #: True if the transport can ship output data back over the link

@@ -2,43 +2,33 @@
 
 The paper deploys chunks to remote workers over Ssh/Scp/Globus; APST hides
 those mechanisms from the scheduler.  This backend is our local stand-in
-with the same shape, expressed as a substrate for the shared
-:class:`~repro.dispatch.core.DispatchCore`:
+with the same shape: the shared wall-clock substrate kit
+(:mod:`repro.execution.substrate` -- scaled clock, serialized-link
+transport, completion-queue host, measured probe costs) over a
+:class:`_ThreadChannel`, one thread per worker that *really computes* on
+the chunk bytes via a pluggable application processor.
 
-* the clock is scaled wall time (``time_scale`` wall seconds per modeled
-  second, so a 6000-second modeled run finishes in seconds);
-* the transport is the master thread itself *serially* "transferring"
-  chunks -- extracting the chunk payload via the division method and
-  holding the link (sleeping) for the modeled transfer duration;
-* the compute host is one thread per worker that *really computes* on the
-  chunk bytes (via a pluggable application processor), padded up to the
-  modeled duration when the real computation is faster;
-* the probe cost source *measures* those scaled transfers and real
-  computations, so estimates carry genuine measurement noise.
-
-All reported times are in modeled seconds, directly comparable to the
-simulation backend.  Because the computation and the thread scheduling
-are real, observed times carry hardware noise on top of the model -- this
-backend is how the repository demonstrates the full APST-DV code path end
-to end, including the case study's split/encode/merge pipeline.
+Because the computation and the thread scheduling are real, observed
+times carry hardware noise on top of the model -- this backend is how the
+repository demonstrates the full APST-DV code path end to end, including
+the case study's split/encode/merge pipeline.
 """
 
 from __future__ import annotations
 
 import queue
 import threading
-import time
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Protocol
+from typing import Callable, Protocol
 
-from ..apst.division import ChunkExtent, DivisionMethod
+from ..apst.division import DivisionMethod
 from ..apst.xmlspec import TaskSpec
-from ..dispatch.core import DispatchCore, DispatchOptions
+from ..dispatch.core import DispatchOptions
 from ..dispatch.protocols import DispatchSubstrate
 from ..errors import ExecutionError
 from ..platform.resources import Grid
-from ..simulation.trace import ChunkTrace, ExecutionReport
+from ..simulation.trace import ExecutionReport
+from .substrate import Reply, ScaledWallClock, channel_substrate, process_padded, run
 
 
 class AppProcessor(Protocol):
@@ -57,236 +47,74 @@ class DigestApp:
         return hashlib.sha256(data).digest()
 
 
-class ScaledWallClock:
-    """Modeled time derived from the wall clock: (elapsed wall) / scale."""
+class _ThreadChannel:
+    """One thread per worker, running the app in-process on chunk bytes."""
 
-    __slots__ = ("_scale", "_t0")
-
-    def __init__(self, scale: float) -> None:
-        self._scale = scale
-        self._t0 = time.perf_counter()
-
-    def now(self) -> float:
-        """Current modeled time in seconds."""
-        return (time.perf_counter() - self._t0) / self._scale
-
-    def sleep_model(self, model_seconds: float) -> None:
-        """Hold the calling thread for a modeled duration."""
-        if model_seconds > 0:
-            time.sleep(model_seconds * self._scale)
-
-
-def payload_for(
-    division: DivisionMethod, extent: ChunkExtent, payload_cap: int
-) -> bytes:
-    """Chunk bytes for an extent: real division payload, or synthetic."""
-    payload_obj = division.extract(extent) if extent.units > 0 else None
-    if payload_obj is not None:
-        return payload_obj.read_bytes()
-    # abstract load: synthesize a placeholder payload (capped)
-    return bytes(min(int(extent.units), payload_cap))
-
-
-class _LocalTransport:
-    """The master thread sleeping through the transfer IS the serialized link."""
-
-    supports_outputs = False
-
-    def __init__(
-        self, grid: Grid, division: DivisionMethod, clock: ScaledWallClock, payload_cap: int
-    ) -> None:
-        self._grid = grid
-        self._division = division
-        self._clock = clock
-        self._payload_cap = payload_cap
-        self._busy_time = 0.0
-        self._core: DispatchCore | None = None
-
-    def bind(self, core: DispatchCore) -> None:
-        self._core = core
-
-    @property
-    def busy(self) -> bool:
-        return False  # send() blocks, so the link is free between calls
-
-    @property
-    def busy_time(self) -> float:
-        return self._busy_time
-
-    def send(self, chunk: ChunkTrace, extent: ChunkExtent) -> None:
-        payload = payload_for(self._division, extent, self._payload_cap)
-        duration = self._grid.workers[chunk.worker_index].transfer_time(extent.units)
-        self._clock.sleep_model(duration)
-        self._busy_time += duration
-        chunk.send_end = self._clock.now()
-        self._core.chunk_arrived(chunk, payload)
-
-    def send_output(self, chunk: ChunkTrace, units: float) -> None:
-        raise ExecutionError("local transport does not ship outputs over the link")
-
-
-@dataclass
-class _WorkerThread:
-    inbox: "queue.Queue[tuple[ChunkTrace, bytes] | None]" = field(
-        default_factory=queue.Queue
-    )
-    thread: threading.Thread | None = None
-
-
-class _LocalThreadHost:
-    """One thread per worker, really computing on chunk bytes."""
-
-    time_advances_when_idle = True
-
-    #: seconds of wall clock to wait on worker completions before giving up
-    DRAIN_TIMEOUT_S = 60.0
-
-    def __init__(
-        self,
-        grid: Grid,
-        app: AppProcessor,
-        workdir: Path,
-        clock: ScaledWallClock,
-        scale: float,
-    ) -> None:
+    def __init__(self, grid: Grid, app: AppProcessor, workdir: Path) -> None:
         self._grid = grid
         self._app = app
         self._workdir = workdir
-        self._clock = clock
-        self._scale = scale
-        self._workers = [_WorkerThread() for _ in grid.workers]
-        #: ("ok", chunk, out_path) | ("fail", chunk, message) | ("crash", None, message)
-        self._completions: "queue.Queue[tuple]" = queue.Queue()
-        self._core: DispatchCore | None = None
+        self._inboxes: "list[queue.Queue[dict | None]]" = [
+            queue.Queue() for _ in grid.workers
+        ]
+        self._threads: list[threading.Thread] = []
+        self._on_reply: Callable[[Reply], None] | None = None
 
-    def bind(self, core: DispatchCore) -> None:
-        self._core = core
-
-    def start(self) -> None:
-        for i, spec in enumerate(self._grid.workers):
-            runtime = self._workers[i]
+    def start(self, on_reply: Callable[[Reply], None]) -> None:
+        self._on_reply = on_reply
+        for index, spec in enumerate(self._grid.workers):
             (self._workdir / spec.name).mkdir(parents=True, exist_ok=True)
-            runtime.thread = threading.Thread(
-                target=self._worker_loop, args=(i, runtime), daemon=True,
+            thread = threading.Thread(
+                target=self._worker_loop, args=(index,), daemon=True,
                 name=f"apstdv-worker-{spec.name}",
             )
-            runtime.thread.start()
+            self._threads.append(thread)
+            thread.start()
+
+    def send(self, index: int, request: dict) -> None:
+        if not self._threads[index].is_alive():
+            raise ExecutionError(
+                f"worker thread {self._grid.workers[index].name} died"
+            )
+        self._inboxes[index].put(request)
 
     def stop(self) -> None:
-        for runtime in self._workers:
-            runtime.inbox.put(None)
-        for runtime in self._workers:
-            if runtime.thread is not None:
-                runtime.thread.join(timeout=30.0)
+        for inbox in self._inboxes:
+            inbox.put(None)
+        for thread in self._threads:
+            thread.join(timeout=30.0)
 
-    def enqueue(self, chunk: ChunkTrace, payload: object) -> None:
-        assert isinstance(payload, bytes)
-        self._workers[chunk.worker_index].inbox.put((chunk, payload))
-
-    def poll(self) -> None:
-        while True:
-            try:
-                completion = self._completions.get(block=False)
-            except queue.Empty:
-                return
-            self._deliver(completion)
-
-    def wait(self) -> bool:
-        try:
-            completion = self._completions.get(block=True, timeout=self.DRAIN_TIMEOUT_S)
-        except queue.Empty:
-            raise ExecutionError("timed out waiting for worker completions") from None
-        self._deliver(completion)
-        self.poll()
-        return True
-
-    def idle_tick(self) -> bool:
-        time.sleep(0.001)
-        return True
-
-    def _deliver(self, completion: tuple) -> None:
-        kind, chunk, detail = completion
-        if kind == "ok":
-            self._core.chunk_completed(chunk, result_path=detail)
-        elif kind == "fail":
-            self._core.chunk_failed(chunk, detail)
-        else:
-            raise ExecutionError(detail)
-
-    def _worker_loop(self, index: int, runtime: _WorkerThread) -> None:
-        spec = self._grid.workers[index]
+    def _worker_loop(self, index: int) -> None:
+        name = self._grid.workers[index].name
         try:
             while True:
-                item = runtime.inbox.get()
-                if item is None:
+                request = self._inboxes[index].get()
+                if request is None:
                     return
-                chunk, payload = item
+                reply = {"worker_index": index, "chunk_id": request["chunk_id"]}
                 try:
-                    chunk.compute_start = self._clock.now()
-                    wall_start = time.perf_counter()
-                    in_path = self._workdir / spec.name / f"chunk_{chunk.chunk_id}.in"
-                    in_path.write_bytes(payload)
-                    result = self._app.process(payload, units=chunk.units)
-                    out_path = self._workdir / spec.name / f"chunk_{chunk.chunk_id}.out"
+                    in_path = self._workdir / name / f"chunk_{request['chunk_id']}.in"
+                    in_path.write_bytes(request["data"])
+                    result, wall = process_padded(
+                        self._app, request["data"], request["units"],
+                        request["min_wall_time"],
+                    )
+                    out_path = in_path.with_suffix(".out")
                     out_path.write_bytes(result)
-                    wall_compute = time.perf_counter() - wall_start
-                    target_model = spec.comp_latency + chunk.units / spec.speed
-                    self._clock.sleep_model(target_model - wall_compute / self._scale)
-                    chunk.compute_end = self._clock.now()
                 except Exception as exc:
                     # per-chunk failure: report it, keep serving (the core's
                     # retry policy may re-ship the chunk to this worker)
-                    self._completions.put(
-                        ("fail", chunk, f"worker thread failed: {exc}")
-                    )
+                    reply.update(status="error",
+                                 message=f"worker thread failed: {exc}")
                 else:
-                    self._completions.put(("ok", chunk, out_path))
+                    reply.update(status="ok", wall_time=wall, result_path=out_path)
+                self._on_reply(reply)
         except BaseException as exc:  # the worker itself died
-            self._completions.put(("crash", None, f"worker thread failed: {exc}"))
-
-
-class _LocalProbeCosts:
-    """Measured probe costs: scaled sleeps for transfers, real app computes."""
-
-    def __init__(
-        self,
-        grid: Grid,
-        division: DivisionMethod,
-        app: AppProcessor,
-        clock: ScaledWallClock,
-        scale: float,
-        payload_cap: int,
-    ) -> None:
-        self._grid = grid
-        self._division = division
-        self._app = app
-        self._clock = clock
-        self._scale = scale
-        self._payload_cap = payload_cap
-
-    def realized_transfer_time(self, index: int, units: float) -> float:
-        spec = self._grid.workers[index]
-        start = self._clock.now()
-        self._clock.sleep_model(spec.transfer_time(units))
-        return max(1e-9, self._clock.now() - start)
-
-    def realized_compute_time(self, index: int, units: float) -> float:
-        spec = self._grid.workers[index]
-        start = self._clock.now()
-        if units > 0:
-            # probe computation (real work on synthetic probe bytes)
-            payload = payload_for(self._division, ChunkExtent(0.0, units), self._payload_cap)
-            wall = time.perf_counter()
-            try:
-                self._app.process(payload, units=units)
-            except Exception as exc:
-                raise ExecutionError(f"probe computation failed: {exc}") from exc
-            elapsed = (time.perf_counter() - wall) / self._scale
-            self._clock.sleep_model(spec.compute_time(units) - elapsed)
-        else:
-            # no-op job -> comp latency
-            self._clock.sleep_model(spec.compute_time(0.0))
-        return max(1e-9, self._clock.now() - start)
+            self._on_reply({
+                "status": "lost", "worker_index": index,
+                "what": f"worker thread {name} ({type(exc).__name__}: {exc})",
+            })
+            raise
 
 
 class LocalExecutionBackend:
@@ -330,15 +158,13 @@ class LocalExecutionBackend:
         task: TaskSpec | None = None,
     ) -> DispatchSubstrate:
         """Fresh single-use dispatch substrate for one run on ``grid``."""
-        clock = ScaledWallClock(self._scale)
-        return DispatchSubstrate(
-            clock=clock,
-            transport=_LocalTransport(grid, division, clock, self._payload_cap),
-            host=_LocalThreadHost(grid, self._app, self._workdir, clock, self._scale),
-            probe_costs=_LocalProbeCosts(
-                grid, division, self._app, clock, self._scale, self._payload_cap
-            ),
-            annotations={"backend": "local-execution", "time_scale": self._scale},
+        return channel_substrate(
+            grid,
+            division,
+            _ThreadChannel(grid, self._app, self._workdir),
+            ScaledWallClock(self._scale),
+            self._payload_cap,
+            {"backend": "local-execution", "time_scale": self._scale},
         )
 
     def execute(
@@ -351,17 +177,8 @@ class LocalExecutionBackend:
         probe_units: float | None = None,
         options: DispatchOptions | None = None,
     ) -> ExecutionReport:
-        opts = options or DispatchOptions()
-        if probe_units is not None:
-            opts.probe_units = probe_units
-        core = DispatchCore(
-            grid,
-            scheduler,
-            division.total_units,
-            substrate=self.substrate(grid, division, task),
-            division=division,
-            options=opts,
+        report, self.last_outputs = run(
+            self.substrate(grid, division, task), grid, scheduler, division,
+            probe_units=probe_units, options=options,
         )
-        report = core.run()
-        self.last_outputs = core.outputs_in_offset_order()
         return report

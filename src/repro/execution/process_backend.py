@@ -8,41 +8,40 @@ Ssh-launched remote workers: real process isolation, real serialization
 of chunk data to disk, real IPC.
 
 The scheduling loop is literally the same code as the other backends --
-the shared :class:`~repro.dispatch.core.DispatchCore` -- fed by this
-module's substrate: the master thread IS the serialized link (it extracts
-the chunk payload, writes the chunk file, and holds the link for the
-modeled transfer duration), worker completions stream back through reader
-threads, and every modeled duration is scaled by ``time_scale``.
-Computation time on a worker is whatever the process actually takes,
-padded up to the modeled cost, so observed times carry genuine
+the shared :class:`~repro.dispatch.core.DispatchCore` -- over the shared
+wall-clock substrate kit (:mod:`repro.execution.substrate`); this module
+contributes only the :class:`_PipeChannel`: it writes the chunk file,
+sends the pipe command, and streams worker replies back through reader
+threads.  Computation time on a worker is whatever the process actually
+takes, padded up to the modeled cost, so observed times carry genuine
 process-level noise.
 
-Worker teardown is owned by the compute host's ``stop()``, which the
-dispatch core invokes on *every* exit path (success, scheduler error,
-worker failure, timeout): each spawned process is tracked from the moment
-``Popen`` returns, asked to shut down, then waited on and killed if
-unresponsive -- no error path leaks child processes.
+Worker teardown is owned by the channel's ``stop()``, which the dispatch
+core invokes (through the compute host) on *every* exit path (success,
+scheduler error, worker failure, timeout, failed startup): each spawned
+process is tracked from the moment ``Popen`` returns, asked to shut
+down, then waited on and killed if unresponsive -- no error path leaks
+child processes.
 """
 
 from __future__ import annotations
 
 import json
-import queue
 import subprocess
 import sys
 import threading
-import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
-from ..apst.division import ChunkExtent, DivisionMethod
+from ..apst.division import DivisionMethod
 from ..apst.xmlspec import TaskSpec
-from ..dispatch.core import DispatchCore, DispatchOptions
+from ..dispatch.core import DispatchOptions
 from ..dispatch.protocols import DispatchSubstrate
 from ..errors import ExecutionError
 from ..platform.resources import Grid
-from ..simulation.trace import ChunkTrace, ExecutionReport
-from .local import ScaledWallClock, payload_for
+from ..simulation.trace import ExecutionReport
+from .substrate import Reply, ScaledWallClock, await_ready_line, channel_substrate, run
 
 
 @dataclass
@@ -52,44 +51,28 @@ class _WorkerProc:
     reader: threading.Thread | None = None
 
 
-class _ProcessHost:
+class _PipeChannel:
     """One OS process per worker, driven over JSON-lines pipes."""
 
-    time_advances_when_idle = True
-
-    #: seconds of wall clock to wait on worker replies before giving up
-    DRAIN_TIMEOUT_S = 120.0
-
     def __init__(
-        self,
-        grid: Grid,
-        workdir: Path,
-        app_spec: str,
-        clock: ScaledWallClock,
-        scale: float,
-        startup_timeout: float,
+        self, grid: Grid, workdir: Path, app_spec: str, startup_timeout: float
     ) -> None:
         self._grid = grid
         self._workdir = workdir
         self._app_spec = app_spec
-        self._clock = clock
-        self._scale = scale
         self._startup_timeout = startup_timeout
         self._workers: list[_WorkerProc] = []
-        self._completions: "queue.Queue[dict]" = queue.Queue()
-        self._inflight: dict[int, ChunkTrace] = {}
-        self._core: DispatchCore | None = None
+        self._on_reply: Callable[[Reply], None] | None = None
+        self._stopping = False
 
     @property
     def processes(self) -> list[subprocess.Popen]:
-        """Every child process spawned by this host (for leak checks)."""
+        """Every child process spawned by this channel (for leak checks)."""
         return [w.process for w in self._workers]
 
-    def bind(self, core: DispatchCore) -> None:
-        self._core = core
-
     # -- lifecycle -----------------------------------------------------------
-    def start(self) -> None:
+    def start(self, on_reply: Callable[[Reply], None]) -> None:
+        self._on_reply = on_reply
         for spec in self._grid.workers:
             worker_dir = self._workdir / spec.name
             worker_dir.mkdir(parents=True, exist_ok=True)
@@ -105,27 +88,20 @@ class _ProcessHost:
             # track the handle before anything can fail, so stop() reaps
             # partially spawned fleets too
             self._workers.append(_WorkerProc(name=spec.name, process=process))
-        deadline = time.monotonic() + self._startup_timeout
-        for runtime in self._workers:
-            line = runtime.process.stdout.readline()
-            if time.monotonic() > deadline or not line:
-                raise ExecutionError(
-                    f"worker {runtime.name} failed to start: "
-                    f"{runtime.process.stderr.read() if runtime.process.stderr else ''}"
-                )
-            status = json.loads(line).get("status")
-            if status != "ready":
-                raise ExecutionError(
-                    f"worker {runtime.name} reported {status!r} at startup"
-                )
+        for index, runtime in enumerate(self._workers):
+            await_ready_line(runtime.process, runtime.name, self._startup_timeout)
             runtime.reader = threading.Thread(
-                target=self._reader_loop, args=(runtime,), daemon=True,
+                target=self._reader_loop, args=(index, runtime), daemon=True,
                 name=f"apstdv-reader-{runtime.name}",
             )
             runtime.reader.start()
 
     def stop(self) -> None:
+        self._stopping = True
         for runtime in self._workers:
+            if runtime.reader is None:
+                runtime.process.kill()  # never said ready: nobody is listening
+                continue
             try:
                 if runtime.process.stdin:
                     runtime.process.stdin.write(json.dumps({"cmd": "shutdown"}) + "\n")
@@ -141,10 +117,22 @@ class _ProcessHost:
             if runtime.reader is not None:
                 runtime.reader.join(timeout=5.0)
 
-    def _reader_loop(self, runtime: _WorkerProc) -> None:
-        index = next(
-            i for i, s in enumerate(self._grid.workers) if s.name == runtime.name
-        )
+    def send(self, index: int, request: dict) -> None:
+        runtime = self._workers[index]
+        if runtime.process.poll() is not None:
+            raise ExecutionError(
+                f"worker {runtime.name} died (exit {runtime.process.returncode})"
+            )
+        # real serialization of chunk data to disk: the worker reads the file
+        chunk_path = self._workdir / runtime.name / f"chunk_{request['chunk_id']}.in"
+        chunk_path.write_bytes(request["data"])
+        wire = {k: v for k, v in request.items() if k != "data"}
+        wire["path"] = str(chunk_path)
+        assert runtime.process.stdin is not None
+        runtime.process.stdin.write(json.dumps(wire) + "\n")
+        runtime.process.stdin.flush()
+
+    def _reader_loop(self, index: int, runtime: _WorkerProc) -> None:
         for line in runtime.process.stdout:
             line = line.strip()
             if not line:
@@ -153,182 +141,20 @@ class _ProcessHost:
                 reply = json.loads(line)
             except json.JSONDecodeError:
                 reply = {"status": "error", "message": f"garbled reply: {line!r}"}
-            reply["worker_index"] = index
-            self._completions.put(reply)
-
-    # -- ComputeHost interface -----------------------------------------------
-    def enqueue(self, chunk: ChunkTrace, payload: object) -> None:
-        self._inflight[chunk.chunk_id] = chunk
-        self._send(chunk.worker_index, {
-            "cmd": "process",
-            "chunk_id": chunk.chunk_id,
-            "path": str(payload),
-            "units": chunk.units,
-            "min_wall_time": self._grid.workers[chunk.worker_index].compute_time(
-                chunk.units
-            ) * self._scale,
-        })
-
-    def poll(self) -> None:
-        while True:
-            try:
-                reply = self._completions.get(block=False)
-            except queue.Empty:
+            if reply.get("status") == "bye":
                 return
-            self._handle_reply(reply)
-
-    def wait(self) -> bool:
-        try:
-            reply = self._completions.get(block=True, timeout=self.DRAIN_TIMEOUT_S)
-        except queue.Empty:
-            raise ExecutionError("timed out waiting for worker completions") from None
-        self._handle_reply(reply)
-        self.poll()
-        return True
-
-    def idle_tick(self) -> bool:
-        time.sleep(0.001)
-        return True
-
-    # -- plumbing -------------------------------------------------------------
-    def _send(self, worker_index: int, request: dict) -> None:
-        runtime = self._workers[worker_index]
-        if runtime.process.poll() is not None:
-            raise ExecutionError(
-                f"worker {runtime.name} died (exit {runtime.process.returncode})"
-            )
-        assert runtime.process.stdin is not None
-        runtime.process.stdin.write(json.dumps(request) + "\n")
-        runtime.process.stdin.flush()
-
-    def _handle_reply(self, reply: dict) -> None:
-        index = reply.get("worker_index")
-        if reply.get("status") == "error":
-            chunk = self._inflight.pop(reply.get("chunk_id", -1), None)
-            message = f"worker {index} failed: {reply.get('message')}"
-            if chunk is None:
-                # not attributable to one chunk (garbled pipe, bad request)
-                raise ExecutionError(message)
-            self._core.chunk_failed(chunk, message)
-            return
-        chunk = self._inflight.pop(reply.get("chunk_id", -1), None)
-        if chunk is None:
-            raise ExecutionError(f"reply for unknown chunk: {reply!r}")
-        # the worker padded its real processing up to the modeled cost, so
-        # the reply time is the modeled completion; its wall_time is the
-        # actual (padded) duration
-        now = self._clock.now()
-        compute_model = reply["wall_time"] / self._scale
-        chunk.compute_end = now
-        chunk.compute_start = max(chunk.send_end, now - compute_model)
-        self._core.chunk_completed(chunk, result_path=Path(reply["result_path"]))
-
-    def wait_for_chunk(self, chunk_id: int, worker_index: int) -> dict:
-        """Synchronous reply wait, used by the probe round (no chunks in flight)."""
-        deadline = time.monotonic() + self.DRAIN_TIMEOUT_S
-        while True:
-            timeout = deadline - time.monotonic()
-            if timeout <= 0:
-                raise ExecutionError("timed out waiting for worker reply")
-            reply = self._completions.get(timeout=timeout)
-            if reply.get("status") == "error":
-                raise ExecutionError(
-                    f"worker {worker_index} failed: {reply.get('message')}"
-                )
-            if reply.get("chunk_id") == chunk_id and reply["worker_index"] == worker_index:
-                return reply
-            self._completions.put(reply)  # not ours; recycle
-
-
-class _ProcessTransport:
-    """Chunk file write + scaled sleep: the master thread IS the link."""
-
-    supports_outputs = False
-
-    def __init__(
-        self,
-        grid: Grid,
-        division: DivisionMethod,
-        workdir: Path,
-        clock: ScaledWallClock,
-        payload_cap: int,
-    ) -> None:
-        self._grid = grid
-        self._division = division
-        self._workdir = workdir
-        self._clock = clock
-        self._payload_cap = payload_cap
-        self._busy_time = 0.0
-        self._core: DispatchCore | None = None
-
-    def bind(self, core: DispatchCore) -> None:
-        self._core = core
-
-    @property
-    def busy(self) -> bool:
-        return False  # send() blocks, so the link is free between calls
-
-    @property
-    def busy_time(self) -> float:
-        return self._busy_time
-
-    def send(self, chunk: ChunkTrace, extent: ChunkExtent) -> None:
-        spec = self._grid.workers[chunk.worker_index]
-        payload = payload_for(self._division, extent, self._payload_cap)
-        chunk_path = self._workdir / spec.name / f"chunk_{chunk.chunk_id}.in"
-        chunk_path.write_bytes(payload)
-        duration = spec.transfer_time(extent.units)
-        self._clock.sleep_model(duration)
-        self._busy_time += duration
-        chunk.send_end = self._clock.now()
-        self._core.chunk_arrived(chunk, chunk_path)
-
-    def send_output(self, chunk: ChunkTrace, units: float) -> None:
-        raise ExecutionError("process transport does not ship outputs over the link")
-
-
-class _ProcessProbeCosts:
-    """Measured probe costs: scaled transfer sleeps, real probe jobs in-process."""
-
-    def __init__(
-        self,
-        grid: Grid,
-        division: DivisionMethod,
-        workdir: Path,
-        host: _ProcessHost,
-        clock: ScaledWallClock,
-        scale: float,
-        payload_cap: int,
-    ) -> None:
-        self._grid = grid
-        self._division = division
-        self._workdir = workdir
-        self._host = host
-        self._clock = clock
-        self._scale = scale
-        self._payload_cap = payload_cap
-
-    def realized_transfer_time(self, index: int, units: float) -> float:
-        spec = self._grid.workers[index]
-        start = self._clock.now()
-        self._clock.sleep_model(spec.transfer_time(units))
-        return max(1e-9, self._clock.now() - start)
-
-    def realized_compute_time(self, index: int, units: float) -> float:
-        spec = self._grid.workers[index]
-        if units <= 0:
-            return spec.comp_latency  # no-op jobs: modeled directly
-        payload = payload_for(self._division, ChunkExtent(0.0, units), self._payload_cap)
-        probe_path = self._workdir / spec.name / "probe.in"
-        probe_path.write_bytes(payload)
-        start = self._clock.now()
-        self._host._send(index, {
-            "cmd": "process", "chunk_id": -1,
-            "path": str(probe_path), "units": units,
-            "min_wall_time": spec.compute_time(units) * self._scale,
-        })
-        self._host.wait_for_chunk(-1, index)
-        return max(1e-9, self._clock.now() - start)
+            reply["worker_index"] = index
+            if reply.get("status") == "ok":
+                reply["result_path"] = Path(reply["result_path"])
+            self._on_reply(reply)
+        # EOF without a shutdown handshake: the process died, and whatever
+        # it was computing will never reply
+        if not self._stopping:
+            self._on_reply({
+                "status": "lost", "worker_index": index,
+                "what": f"worker process {runtime.name} "
+                        f"(exit {runtime.process.wait()})",
+            })
 
 
 class ProcessExecutionBackend:
@@ -378,25 +204,13 @@ class ProcessExecutionBackend:
         task: TaskSpec | None = None,
     ) -> DispatchSubstrate:
         """Fresh single-use dispatch substrate for one run on ``grid``."""
-        clock = ScaledWallClock(self._scale)
-        host = _ProcessHost(
-            grid, self._workdir, self._app_spec, clock, self._scale,
-            self._startup_timeout,
-        )
-        return DispatchSubstrate(
-            clock=clock,
-            transport=_ProcessTransport(
-                grid, division, self._workdir, clock, self._payload_cap
-            ),
-            host=host,
-            probe_costs=_ProcessProbeCosts(
-                grid, division, self._workdir, host, clock, self._scale,
-                self._payload_cap,
-            ),
-            annotations={
-                "backend": "process-execution",
-                "workers": len(grid.workers),
-            },
+        return channel_substrate(
+            grid,
+            division,
+            _PipeChannel(grid, self._workdir, self._app_spec, self._startup_timeout),
+            ScaledWallClock(self._scale),
+            self._payload_cap,
+            {"backend": "process-execution", "workers": len(grid.workers)},
         )
 
     def execute(
@@ -409,19 +223,9 @@ class ProcessExecutionBackend:
         probe_units: float | None = None,
         options: DispatchOptions | None = None,
     ) -> ExecutionReport:
-        opts = options or DispatchOptions()
-        if probe_units is not None:
-            opts.probe_units = probe_units
-        substrate = self.substrate(grid, division, task)
-        self.last_substrate = substrate
-        core = DispatchCore(
-            grid,
-            scheduler,
-            division.total_units,
-            substrate=substrate,
-            division=division,
-            options=opts,
+        self.last_substrate = self.substrate(grid, division, task)
+        report, self.last_outputs = run(
+            self.last_substrate, grid, scheduler, division,
+            probe_units=probe_units, options=options,
         )
-        report = core.run()
-        self.last_outputs = core.outputs_in_offset_order()
         return report

@@ -6,9 +6,10 @@ than hanging or silently dropping load.  These processors make failures
 reproducible:
 
 * :class:`FlakyApp` fails deterministically on chosen chunk indices or
-  randomly with a seeded probability;
+  randomly with a seeded probability -- or kills its whole worker
+  process mid-chunk;
 * :class:`SlowApp` sleeps a fixed wall time per chunk (for timeout and
-  padding tests).
+  padding tests), or at construction (a worker that hangs at startup).
 
 They are import-safe for worker subprocesses (usable via
 :func:`repro.execution.appspec.app_spec`).
@@ -17,6 +18,7 @@ They are import-safe for worker subprocesses (usable via
 from __future__ import annotations
 
 import hashlib
+import os
 import time
 
 import numpy as np
@@ -34,6 +36,11 @@ class FlakyApp:
         chunk this instance processes).
     fail_probability:
         Seeded random failure rate applied to every call.
+    die_on_calls:
+        1-based call indices on which the hosting *process* exits
+        without replying (``os._exit``): a worker crash mid-chunk, as
+        opposed to a chunk failure the worker survives.  Only for
+        out-of-process workers.
     """
 
     def __init__(
@@ -41,16 +48,20 @@ class FlakyApp:
         fail_on_calls: list[int] | None = None,
         fail_probability: float = 0.0,
         seed: int = 0,
+        die_on_calls: list[int] | None = None,
     ) -> None:
         if not 0.0 <= fail_probability <= 1.0:
             raise ExecutionError("fail_probability must be in [0, 1]")
         self._fail_on = set(fail_on_calls or [])
+        self._die_on = set(die_on_calls or [])
         self._probability = fail_probability
         self._rng = np.random.default_rng(seed)
         self._calls = 0
 
     def process(self, data: bytes, units: float | None = None) -> bytes:
         self._calls += 1
+        if self._calls in self._die_on:
+            os._exit(3)
         if self._calls in self._fail_on:
             raise ExecutionError(f"injected failure on call {self._calls}")
         if self._probability > 0 and self._rng.random() < self._probability:
@@ -59,12 +70,17 @@ class FlakyApp:
 
 
 class SlowApp:
-    """Digest processor with a fixed wall-clock delay per chunk."""
+    """Digest processor with a fixed wall-clock delay per chunk.
 
-    def __init__(self, delay_s: float = 0.05) -> None:
-        if delay_s < 0:
+    ``startup_delay_s`` sleeps in the constructor instead: the worker
+    process hosting it hangs before it can announce itself ready.
+    """
+
+    def __init__(self, delay_s: float = 0.05, startup_delay_s: float = 0.0) -> None:
+        if delay_s < 0 or startup_delay_s < 0:
             raise ExecutionError("delay must be >= 0")
         self._delay = delay_s
+        time.sleep(startup_delay_s)
 
     def process(self, data: bytes, units: float | None = None) -> bytes:
         time.sleep(self._delay)

@@ -28,10 +28,10 @@ from __future__ import annotations
 
 import json
 import sys
-import time
 from pathlib import Path
 
 from .appspec import load_app
+from .substrate import process_padded
 
 
 def serve(app_spec: str, workdir: str, stdin=None, stdout=None) -> int:
@@ -68,14 +68,12 @@ def serve(app_spec: str, workdir: str, stdin=None, stdout=None) -> int:
             continue
         chunk_id = request.get("chunk_id", -1)
         try:
-            data = Path(request["path"]).read_bytes()
-            start = time.perf_counter()
-            result = app.process(data, units=request.get("units"))
-            min_wall = float(request.get("min_wall_time", 0.0))
-            pad = min_wall - (time.perf_counter() - start)
-            if pad > 0:
-                time.sleep(pad)
-            wall = time.perf_counter() - start
+            result, wall = process_padded(
+                app,
+                Path(request["path"]).read_bytes(),
+                request.get("units"),
+                float(request.get("min_wall_time", 0.0)),
+            )
             result_path = out_dir / f"result_{chunk_id}.out"
             result_path.write_bytes(result)
             print(

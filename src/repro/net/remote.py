@@ -4,17 +4,17 @@ This is the fourth execution substrate of the unified dispatch core --
 and the first where the worker really is a separate endpoint reached
 over a network socket, which is what the paper means by scheduling on
 *grid* platforms.  The scheduling loop is still the shared
-:class:`~repro.dispatch.core.DispatchCore`; this module contributes:
+:class:`~repro.dispatch.core.DispatchCore`, over the shared wall-clock
+substrate kit (:mod:`repro.execution.substrate`: the master thread
+extracts the chunk payload, holds the serialized link for the modeled
+transfer duration, and hands the bytes to the compute host); this module
+contributes:
 
-* :class:`_RemoteTransport` -- the master thread extracts the chunk
-  payload, holds the serialized link for the modeled transfer duration,
-  and hands the bytes to the compute host;
-* :class:`_RemoteHost` -- a :class:`~repro.dispatch.protocols.ComputeHost`
-  holding one TCP connection per grid worker to a
+* :class:`_SocketChannel` -- one TCP connection per grid worker to a
   :mod:`repro.net.worker` process: chunk bytes go out base64-framed,
   delimited results come back over the same socket (the Groundhog
   serialize -> submit -> delimited-result flow), and reader threads
-  stream completions to the master.  A dropped connection fails the
+  stream replies to the master.  A dropped connection fails the
   in-flight chunks (so the core's :class:`RetryPolicy` can retransmit)
   and the next send reconnects;
 * :class:`RemoteWorkerPool` -- spawns ``python -m repro.net.worker``
@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import json
 import os
-import queue
 import socket
 import subprocess
 import sys
@@ -39,16 +38,24 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
-from ..apst.division import ChunkExtent, DivisionMethod
+from ..apst.division import DivisionMethod
 from ..apst.xmlspec import TaskSpec
-from ..dispatch.core import DispatchCore, DispatchOptions
+from ..dispatch.core import DispatchOptions
 from ..dispatch.protocols import DispatchSubstrate
 from ..errors import ExecutionError
+from ..execution.substrate import (
+    PROBE_CHUNK_ID,
+    Reply,
+    ScaledWallClock,
+    await_ready_line,
+    channel_substrate,
+    run,
+)
 from ..obs import NET_WORKER_LOST, OBS_DISABLED, Observability
 from ..platform.resources import Grid
-from ..simulation.trace import ChunkTrace, ExecutionReport
-from ..execution.local import ScaledWallClock, payload_for
+from ..simulation.trace import ExecutionReport
 from .protocol import decode_payload, encode_payload, parse_frame
 
 
@@ -136,34 +143,7 @@ class RemoteWorkerPool:
         return list(self.endpoints)
 
     def _await_ready(self, process: subprocess.Popen, name: str) -> WorkerEndpoint:
-        assert process.stdout is not None
-        # readline() has no timeout of its own: do it on a daemon thread
-        # and join with the startup budget, so a child that hangs before
-        # printing its ready line cannot hang spawn() forever
-        ready: list[str] = []
-        reader = threading.Thread(
-            target=lambda: ready.append(process.stdout.readline()),
-            daemon=True,
-            name=f"apstdv-net-await-{name}",
-        )
-        reader.start()
-        reader.join(timeout=self.STARTUP_TIMEOUT_S)
-        if reader.is_alive() or not ready or not ready[0]:
-            if process.poll() is None:  # hung: kill so stderr.read() returns
-                process.kill()
-                process.wait()
-            stderr = process.stderr.read() if process.stderr else ""
-            raise ExecutionError(
-                f"net worker {name} failed to start within "
-                f"{self.STARTUP_TIMEOUT_S:.0f}s: {stderr}"
-            )
-        line = ready[0]
-        announce = json.loads(line)
-        if announce.get("status") != "ready":
-            raise ExecutionError(
-                f"net worker {name} reported {announce.get('status')!r} at startup: "
-                f"{announce.get('message', '')}"
-            )
+        announce = await_ready_line(process, name, self.STARTUP_TIMEOUT_S)
         return WorkerEndpoint(name=name, host=announce["host"], port=int(announce["port"]))
 
     def stop(self) -> None:
@@ -198,13 +178,9 @@ class _Conn:
     generation: int = 0
 
 
-class _RemoteHost:
-    """One TCP connection per grid worker; completions stream back."""
+class _SocketChannel:
+    """One TCP connection per grid worker; replies stream back."""
 
-    time_advances_when_idle = True
-
-    #: seconds of wall clock to wait on worker replies before giving up
-    DRAIN_TIMEOUT_S = 120.0
     CONNECT_TIMEOUT_S = 10.0
 
     def __init__(
@@ -213,7 +189,6 @@ class _RemoteHost:
         endpoints: list[WorkerEndpoint],
         workdir: Path,
         clock: ScaledWallClock,
-        scale: float,
         obs: Observability,
     ) -> None:
         if len(endpoints) < len(grid.workers):
@@ -221,16 +196,11 @@ class _RemoteHost:
                 f"remote backend needs one endpoint per grid worker: "
                 f"{len(grid.workers)} workers, {len(endpoints)} endpoints"
             )
-        self._grid = grid
         self._workdir = workdir
         self._clock = clock
-        self._scale = scale
         self._obs = obs
         self._conns = [_Conn(endpoint=endpoints[i]) for i in range(len(grid.workers))]
-        self._completions: "queue.Queue[dict]" = queue.Queue()
-        self._inflight: dict[int, ChunkTrace] = {}
-        self._core: DispatchCore | None = None
-        self._disconnects = 0
+        self._on_reply: Callable[[Reply], None] | None = None
         # telemetry return path: t0 per (worker, chunk) for offset samples
         self._aggregator = obs.aggregator
         self._tracer = obs.tracer
@@ -245,16 +215,9 @@ class _RemoteHost:
             else None
         )
 
-    @property
-    def disconnects(self) -> int:
-        """Connections lost over the run (failure-injection assertions)."""
-        return self._disconnects
-
-    def bind(self, core: DispatchCore) -> None:
-        self._core = core
-
     # -- lifecycle -----------------------------------------------------------
-    def start(self) -> None:
+    def start(self, on_reply: Callable[[Reply], None]) -> None:
+        self._on_reply = on_reply
         for index in range(len(self._conns)):
             self._connect(index)
         self._workdir.mkdir(parents=True, exist_ok=True)
@@ -321,77 +284,50 @@ class _RemoteHost:
                 except Exception as exc:
                     reply = {"status": "error", "message": f"garbled reply: {exc}"}
                 reply["worker_index"] = index
-                self._completions.put(reply)
+                self._ingest_reply_telemetry(index, reply)
+                chunk_id = reply.get("chunk_id", PROBE_CHUNK_ID)
+                if reply.get("status") == "ok" and chunk_id != PROBE_CHUNK_ID:
+                    result_path = self._workdir / f"result_{chunk_id}.out"
+                    result_path.write_bytes(decode_payload(reply.pop("result_b64", "")))
+                    reply["result_path"] = result_path
+                self._on_reply(reply)
         except (OSError, ValueError):
             pass
         # EOF or socket error: report the loss tagged with our generation,
-        # so a reconnect's fresh reader is not mistaken for another loss
-        self._completions.put(
-            {"status": "conn_lost", "worker_index": index, "generation": generation}
-        )
+        # so a reconnect's fresh reader is not mistaken for another loss.
+        # Whether it is stale is only decidable on the master thread (the
+        # send path reconnects there), hence the deferred reply.
+        self._on_reply(lambda: self._conn_lost(index, generation))
 
-    # -- ComputeHost interface -----------------------------------------------
-    def enqueue(self, chunk: ChunkTrace, payload: object) -> None:
-        assert isinstance(payload, bytes)
-        self._inflight[chunk.chunk_id] = chunk
-        request = {
-            "cmd": "process",
-            "chunk_id": chunk.chunk_id,
-            "data_b64": encode_payload(payload),
-            "units": chunk.units,
-            "min_wall_time": self._grid.workers[chunk.worker_index].compute_time(
-                chunk.units
-            ) * self._scale,
-        }
-        if self._core is not None:
-            traceparent = self._core.trace_parent_for(chunk.chunk_id)
+    # -- WorkerChannel interface ---------------------------------------------
+    def send(self, index: int, request: dict) -> None:
+        conn = self._conns[index]
+        wire = {k: v for k, v in request.items() if k != "data"}
+        wire["data_b64"] = encode_payload(request["data"])
+        if self._tracer is not None and "traceparent" not in wire:
+            # not a dispatched chunk (those carry their dispatch span):
+            # parent the worker's probe-chunk span to the daemon's open
+            # probe span (no per-request span of our own)
+            traceparent = self._tracer.current_traceparent()
             if traceparent is not None:
-                request["traceparent"] = traceparent
-        self._send(chunk.worker_index, request)
-
-    def poll(self) -> None:
-        while True:
-            try:
-                reply = self._completions.get(block=False)
-            except queue.Empty:
-                return
-            self._handle_reply(reply)
-
-    def wait(self) -> bool:
-        try:
-            reply = self._completions.get(block=True, timeout=self.DRAIN_TIMEOUT_S)
-        except queue.Empty:
-            raise ExecutionError(
-                "timed out waiting for remote worker completions"
-            ) from None
-        self._handle_reply(reply)
-        self.poll()
-        return True
-
-    def idle_tick(self) -> bool:
-        time.sleep(0.001)
-        return True
-
-    # -- plumbing -------------------------------------------------------------
-    def _send(self, worker_index: int, request: dict) -> None:
-        conn = self._conns[worker_index]
-        data = json.dumps(request).encode("utf-8") + b"\n"
-        if self._aggregator is not None and request.get("cmd") == "process":
-            self._send_times[(worker_index, request.get("chunk_id"))] = time.time()
+                wire["traceparent"] = traceparent
+        data = json.dumps(wire).encode("utf-8") + b"\n"
+        if self._aggregator is not None:
+            self._send_times[(index, request["chunk_id"])] = time.time()
         if conn.sock is None:
-            self._connect(worker_index)
+            self._connect(index)
         try:
             conn.stream.write(data)
             conn.stream.flush()
         except (BrokenPipeError, ConnectionResetError, OSError):
             # stale connection (worker dropped us between chunks).  Fail
             # what was in flight on it NOW -- reconnecting bumps the
-            # generation, so the old reader's queued conn_lost will be
+            # generation, so the old reader's queued loss report will be
             # discarded as stale and would otherwise strand those chunks
             # until DRAIN_TIMEOUT_S.  The chunk being sent is excluded:
             # it is about to go out again on the fresh connection.
-            self._drop_conn(worker_index, exclude_chunk_id=request.get("chunk_id"))
-            self._connect(worker_index)
+            self._on_reply({**self._drop_conn(index), "exclude": request["chunk_id"]})
+            self._connect(index)
             try:
                 conn.stream.write(data)
                 conn.stream.flush()
@@ -400,6 +336,7 @@ class _RemoteHost:
                     f"worker {conn.endpoint.name} unreachable: {exc}"
                 ) from exc
 
+    # -- plumbing -------------------------------------------------------------
     def _ingest_reply_telemetry(self, index: int, reply: dict) -> None:
         """Clock-offset sample + telemetry batch off one worker reply.
 
@@ -410,7 +347,7 @@ class _RemoteHost:
         the master registered, so offset estimates and span records
         agree on what the process is called.
         """
-        if self._aggregator is None or index is None:
+        if self._aggregator is None:
             return
         t3 = time.time()
         name = self._conns[index].endpoint.name
@@ -428,48 +365,19 @@ class _RemoteHost:
         if batch:
             self._aggregator.ingest(batch, process=name)
 
-    def _handle_reply(self, reply: dict) -> None:
-        index = reply.get("worker_index")
-        if reply.get("status") == "conn_lost":
-            self._conn_lost(index, reply.get("generation", -1))
-            return
-        self._ingest_reply_telemetry(index, reply)
-        if reply.get("status") == "error":
-            chunk = self._inflight.pop(reply.get("chunk_id", -1), None)
-            message = f"worker {index} failed: {reply.get('message')}"
-            if chunk is None:
-                raise ExecutionError(message)
-            self._core.chunk_failed(chunk, message)
-            return
-        chunk = self._inflight.pop(reply.get("chunk_id", -1), None)
-        if chunk is None:
-            raise ExecutionError(f"reply for unknown chunk: {reply!r}")
-        result_path = self._workdir / f"result_{chunk.chunk_id}.out"
-        result_path.write_bytes(decode_payload(reply.get("result_b64", "")))
-        # the worker padded its real processing up to the modeled cost, so
-        # the reply time is the modeled completion; its wall_time is the
-        # actual (padded) duration
-        now = self._clock.now()
-        compute_model = reply["wall_time"] / self._scale
-        chunk.compute_end = now
-        chunk.compute_start = max(chunk.send_end, now - compute_model)
-        self._core.chunk_completed(chunk, result_path=result_path)
-
-    def _conn_lost(self, index: int, generation: int) -> None:
-        """A worker connection dropped: fail its in-flight chunks."""
+    def _conn_lost(self, index: int, generation: int) -> dict | None:
+        """A reader hit EOF: the loss reply, or None if it is stale."""
         if generation != self._conns[index].generation:
-            return  # a reader from a connection we already replaced
-        self._drop_conn(index)
+            return None  # a reader from a connection we already replaced
+        return self._drop_conn(index)
 
-    def _drop_conn(self, index: int, *, exclude_chunk_id: int | None = None) -> None:
-        """Close a dead connection and fail the chunks in flight on it.
+    def _drop_conn(self, index: int) -> dict:
+        """Close a dead connection, account for it, build the ``lost`` reply.
 
-        Shared by the reader's ``conn_lost`` path and ``_send``'s
-        reconnect path; ``exclude_chunk_id`` names a chunk the caller is
-        about to resend itself (it must not also be queued for retry).
+        Shared by the reader's EOF path and ``send``'s reconnect path, and
+        by probe-time and mid-run losses alike; always on the master thread.
         """
         conn = self._conns[index]
-        self._disconnects += 1
         self._close_conn(conn)
         if self._m_lost is not None:
             self._m_lost.inc()
@@ -479,146 +387,12 @@ class _RemoteHost:
                 sim_time=self._clock.now(),
                 worker=conn.endpoint.name,
                 worker_index=index,
-                inflight=sum(
-                    1 for c in self._inflight.values() if c.worker_index == index
-                ),
             )
-        # chunks mid-compute on that worker will never reply: fail each so
-        # the core's RetryPolicy can retransmit (the next send reconnects)
-        lost = [
-            c
-            for c in self._inflight.values()
-            if c.worker_index == index and c.chunk_id != exclude_chunk_id
-        ]
-        for chunk in lost:
-            self._inflight.pop(chunk.chunk_id, None)
-            self._core.chunk_failed(
-                chunk,
-                f"connection to worker {conn.endpoint.name} lost mid-chunk",
-            )
-
-    def wait_for_chunk(self, chunk_id: int, worker_index: int) -> dict:
-        """Synchronous reply wait, used by the probe round (nothing in flight)."""
-        deadline = time.monotonic() + self.DRAIN_TIMEOUT_S
-        while True:
-            timeout = deadline - time.monotonic()
-            if timeout <= 0:
-                raise ExecutionError("timed out waiting for remote worker reply")
-            try:
-                reply = self._completions.get(timeout=timeout)
-            except queue.Empty:
-                raise ExecutionError(
-                    "timed out waiting for remote worker reply"
-                ) from None
-            if reply.get("status") == "conn_lost":
-                # a probe-time loss takes the same terminal accounting
-                # path as a mid-run loss (net.worker.lost event, lost
-                # counter, disconnect tally, socket teardown) -- only
-                # then does the failure surface to the probe loop
-                self._conn_lost(
-                    reply["worker_index"], reply.get("generation", -1)
-                )
-                raise ExecutionError(
-                    f"worker {worker_index} connection lost during probe"
-                )
-            if reply.get("status") == "error":
-                raise ExecutionError(
-                    f"worker {worker_index} failed: {reply.get('message')}"
-                )
-            if reply.get("chunk_id") == chunk_id and reply["worker_index"] == worker_index:
-                self._ingest_reply_telemetry(worker_index, reply)
-                return reply
-            self._completions.put(reply)  # not ours; recycle
-
-
-class _RemoteTransport:
-    """Payload extraction + scaled sleep: the master thread IS the link."""
-
-    supports_outputs = False
-
-    def __init__(
-        self,
-        grid: Grid,
-        division: DivisionMethod,
-        clock: ScaledWallClock,
-        payload_cap: int,
-    ) -> None:
-        self._grid = grid
-        self._division = division
-        self._clock = clock
-        self._payload_cap = payload_cap
-        self._busy_time = 0.0
-        self._core: DispatchCore | None = None
-
-    def bind(self, core: DispatchCore) -> None:
-        self._core = core
-
-    @property
-    def busy(self) -> bool:
-        return False  # send() blocks, so the link is free between calls
-
-    @property
-    def busy_time(self) -> float:
-        return self._busy_time
-
-    def send(self, chunk: ChunkTrace, extent: ChunkExtent) -> None:
-        payload = payload_for(self._division, extent, self._payload_cap)
-        duration = self._grid.workers[chunk.worker_index].transfer_time(extent.units)
-        self._clock.sleep_model(duration)
-        self._busy_time += duration
-        chunk.send_end = self._clock.now()
-        self._core.chunk_arrived(chunk, payload)
-
-    def send_output(self, chunk: ChunkTrace, units: float) -> None:
-        raise ExecutionError("remote transport does not ship outputs over the link")
-
-
-class _RemoteProbeCosts:
-    """Measured probe costs: scaled transfer sleeps, real remote computes."""
-
-    def __init__(
-        self,
-        grid: Grid,
-        division: DivisionMethod,
-        host: _RemoteHost,
-        clock: ScaledWallClock,
-        scale: float,
-        payload_cap: int,
-    ) -> None:
-        self._grid = grid
-        self._division = division
-        self._host = host
-        self._clock = clock
-        self._scale = scale
-        self._payload_cap = payload_cap
-
-    def realized_transfer_time(self, index: int, units: float) -> float:
-        spec = self._grid.workers[index]
-        start = self._clock.now()
-        self._clock.sleep_model(spec.transfer_time(units))
-        return max(1e-9, self._clock.now() - start)
-
-    def realized_compute_time(self, index: int, units: float) -> float:
-        spec = self._grid.workers[index]
-        if units <= 0:
-            return spec.comp_latency  # no-op jobs: modeled directly
-        payload = payload_for(self._division, ChunkExtent(0.0, units), self._payload_cap)
-        start = self._clock.now()
-        request = {
-            "cmd": "process", "chunk_id": -1,
-            "data_b64": encode_payload(payload), "units": units,
-            "min_wall_time": spec.compute_time(units) * self._scale,
+        return {
+            "status": "lost",
+            "worker_index": index,
+            "what": f"connection to worker {conn.endpoint.name}",
         }
-        tracer = self._host._tracer
-        if tracer is not None:
-            # parent the worker's probe-chunk span to the daemon's open
-            # probe span (no per-request span of our own)
-            traceparent = tracer.current_traceparent()
-            if traceparent is not None:
-                request["traceparent"] = traceparent
-        self._host._send(index, request)
-        self._host.wait_for_chunk(-1, index)
-        return max(1e-9, self._clock.now() - start)
 
 
 class RemoteExecutionBackend:
@@ -673,18 +447,15 @@ class RemoteExecutionBackend:
     ) -> DispatchSubstrate:
         """Fresh single-use dispatch substrate for one run on ``grid``."""
         clock = ScaledWallClock(self._scale)
-        host = _RemoteHost(
-            grid, self._endpoints, self._workdir / "results", clock, self._scale,
-            self._obs,
-        )
-        return DispatchSubstrate(
-            clock=clock,
-            transport=_RemoteTransport(grid, division, clock, self._payload_cap),
-            host=host,
-            probe_costs=_RemoteProbeCosts(
-                grid, division, host, clock, self._scale, self._payload_cap
+        return channel_substrate(
+            grid,
+            division,
+            _SocketChannel(
+                grid, self._endpoints, self._workdir / "results", clock, self._obs
             ),
-            annotations={
+            clock,
+            self._payload_cap,
+            {
                 "backend": "remote-execution",
                 "workers": len(grid.workers),
                 "endpoints": [f"{e.host}:{e.port}" for e in self._endpoints],
@@ -702,20 +473,11 @@ class RemoteExecutionBackend:
         options: DispatchOptions | None = None,
     ) -> ExecutionReport:
         opts = options or DispatchOptions()
-        if probe_units is not None:
-            opts.probe_units = probe_units
         if opts.observability is None and self._obs.enabled:
             opts.observability = self._obs
-        substrate = self.substrate(grid, division, task)
-        self.last_substrate = substrate
-        core = DispatchCore(
-            grid,
-            scheduler,
-            division.total_units,
-            substrate=substrate,
-            division=division,
-            options=opts,
+        self.last_substrate = self.substrate(grid, division, task)
+        report, self.last_outputs = run(
+            self.last_substrate, grid, scheduler, division,
+            probe_units=probe_units, options=opts,
         )
-        report = core.run()
-        self.last_outputs = core.outputs_in_offset_order()
         return report

@@ -61,6 +61,7 @@ import threading
 import time
 
 from ..execution.appspec import load_app
+from ..execution.substrate import process_padded
 from ..obs import MetricsRegistry, TelemetryBuffer, Tracer, parse_traceparent
 from .protocol import decode_payload, encode_payload, parse_frame
 
@@ -85,6 +86,8 @@ class SocketWorker:
         self._processed = 0
         self._shutdown = False
         self._listener = socket.create_server((host, port))
+        #: the one master connection being served (None between masters)
+        self._active: socket.socket | None = None
         self._listener.settimeout(0.5)
         self.host, self.port = self._listener.getsockname()[:2]
         self.name = name or f"worker-{self.port}"
@@ -115,6 +118,14 @@ class SocketWorker:
             self._listener.close()
         except OSError:
             pass
+        # closing only the listener would leave serve_forever() blocked in
+        # the live master connection's read loop until the master hangs up
+        active = self._active
+        if active is not None:
+            try:
+                active.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
 
     def serve_forever(self) -> int:
         """Accept one master connection at a time until shutdown."""
@@ -126,8 +137,13 @@ class SocketWorker:
                     continue
                 except OSError:
                     break
-                with conn:
-                    self._serve_connection(conn)
+                self._active = conn
+                try:
+                    with conn:
+                        if not self._shutdown:  # close() raced the accept
+                            self._serve_connection(conn)
+                finally:
+                    self._active = None
         finally:
             self.close()
         return 0
@@ -192,19 +208,15 @@ class SocketWorker:
             tracer.set_context(context)
         try:
             data = decode_payload(request.get("data_b64", ""))
-            start = time.perf_counter()
             if tracer is not None:
                 span = tracer.start_span(
                     "chunk.process", category="compute",
                     chunk_id=chunk_id, units=request.get("units"),
                 )
-            result = self._app.process(data, units=request.get("units"))
-            pad = float(request.get("min_wall_time", 0.0)) - (
-                time.perf_counter() - start
+            result, wall = process_padded(
+                self._app, data, request.get("units"),
+                float(request.get("min_wall_time", 0.0)),
             )
-            if pad > 0:
-                time.sleep(pad)
-            wall = time.perf_counter() - start
             if tracer is not None:
                 tracer.finish(span, wall_time=wall)
             if self._m_chunks is not None:

@@ -119,6 +119,30 @@ class TestProcessBackendFailures:
                                  None, probe_units=64.0)
         report.validate()
 
+    def test_worker_process_death_mid_chunk_fails_fast(self, grid, division,
+                                                       tmp_path):
+        """Regression: a worker process that dies mid-chunk is reported at
+        its pipe's EOF (like a lost socket), so the chunk fails at once
+        instead of stalling the master for the whole drain timeout.
+        """
+        import time
+
+        backend = ProcessExecutionBackend(
+            tmp_path / "work",
+            app_spec=app_spec(FlakyApp, die_on_calls=[2]),
+            time_scale=0.01,
+        )
+        start = time.monotonic()
+        with pytest.raises(ExecutionError, match=r"worker process f-\d+ .*lost"):
+            backend.execute(grid, make_scheduler("simple-2"), division, None,
+                            options=parity_options())
+        assert time.monotonic() - start < 10
+        host = backend.last_substrate.host
+        assert host.disconnects >= 1
+        assert len(host.processes) == len(grid.workers)
+        for process in host.processes:
+            assert process.poll() is not None  # exited and reaped
+
 
 class TestRemoteSocketFailures:
     """A socket killed mid-chunk must retransmit, complete, and not leak."""

@@ -15,6 +15,8 @@ from repro.dispatch.parity import parity_options
 from repro.errors import ExecutionError
 from repro.execution.appspec import app_spec
 from repro.execution.local import DigestApp
+from repro.execution.process_backend import ProcessExecutionBackend
+from repro.execution.testing import SlowApp
 from repro.net import GatewayClient, GatewayConfig, JobGateway
 from repro.net.protocol import decode_payload, encode_payload
 from repro.net.remote import (
@@ -57,9 +59,11 @@ def worker_conn():
         return json.loads(stream.readline())
 
     yield rpc
+    stream.close()  # the makefile stream holds the fd open past sock.close()
     sock.close()
     worker.close()
     thread.join(timeout=5)
+    assert not thread.is_alive()
 
 
 class TestSocketWorkerProtocol:
@@ -96,67 +100,117 @@ class TestSocketWorkerProtocol:
 
 
 class TestWorkerPoolStartup:
-    def test_await_ready_times_out_on_hung_child(self, monkeypatch):
-        """A child that never prints its ready line must not hang spawn():
-        the startup budget applies to the readline itself, and the hung
-        child is killed, not leaked.
+    @pytest.mark.parametrize("caller", ["pool", "process-backend"])
+    def test_await_ready_times_out_on_hung_child(self, caller, monkeypatch,
+                                                 grid, division, tmp_path):
+        """A child that never prints its ready line must not hang its
+        launcher: the startup budget applies to the readline itself, and
+        the hung child is killed, not leaked.  Both launchers share
+        ``await_ready_line``.
         """
-        monkeypatch.setattr(RemoteWorkerPool, "STARTUP_TIMEOUT_S", 0.5)
-        pool = RemoteWorkerPool()
-        process = subprocess.Popen(
-            [sys.executable, "-c", "import time; time.sleep(60)"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, bufsize=1,
-        )
-        pool._processes.append(process)
         start = time.monotonic()
-        with pytest.raises(ExecutionError, match="failed to start within"):
-            pool._await_ready(process, "hung0")
+        if caller == "pool":
+            monkeypatch.setattr(RemoteWorkerPool, "STARTUP_TIMEOUT_S", 0.5)
+            pool = RemoteWorkerPool()
+            process = subprocess.Popen(
+                [sys.executable, "-c", "import time; time.sleep(60)"],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                bufsize=1,
+            )
+            pool._processes.append(process)
+            with pytest.raises(ExecutionError, match="failed to start within"):
+                pool._await_ready(process, "hung0")
+            children = [process]
+        else:
+            backend = ProcessExecutionBackend(
+                tmp_path / "work",
+                app_spec=app_spec(SlowApp, startup_delay_s=60.0),
+                time_scale=0.01, startup_timeout_s=0.5,
+            )
+            with pytest.raises(ExecutionError, match="failed to start within"):
+                backend.execute(grid, make_scheduler("simple-1"), division,
+                                None, options=parity_options())
+            children = backend.last_substrate.host.processes
+            assert len(children) == len(grid.workers)
         assert time.monotonic() - start < 10  # bounded, not readline-forever
-        assert process.poll() is not None  # killed and reaped
-        pool.stop()
+        for child in children:
+            assert child.poll() is not None  # killed and reaped
+        if caller == "pool":
+            pool.stop()
 
 
 class _RecordingCore:
-    """Stands in for DispatchCore: records chunk_failed calls."""
+    """Stands in for DispatchCore: records the host's callbacks."""
 
     def __init__(self):
         self.failed = []
+        self.completed = []
+
+    def trace_parent_for(self, chunk_id):
+        return None
 
     def chunk_failed(self, chunk, message):
         self.failed.append(chunk.chunk_id)
 
+    def chunk_completed(self, chunk, result_path=None):
+        self.completed.append(chunk.chunk_id)
+
 
 class TestSendReconnectRace:
-    def test_drop_conn_fails_inflight_except_the_resent_chunk(self, grid,
-                                                              tmp_path):
-        """Regression: when _send detects the dead connection (write fails)
+    def test_drop_conn_fails_inflight_except_the_resent_chunk(
+        self, grid, tmp_path
+    ):
+        """Regression: when send detects the dead connection (write fails)
         and reconnects, the generation bump makes the old reader's queued
-        conn_lost stale -- so _send itself must fail the chunks in flight
-        on the old connection (minus the one it is about to resend), or
-        they stall until DRAIN_TIMEOUT_S.
+        loss report stale -- so send itself must report the loss of the
+        chunks in flight on the old connection (minus the one it is about
+        to resend), or they stall until DRAIN_TIMEOUT_S.
         """
-        from repro.execution.local import ScaledWallClock
-        from repro.net.remote import _RemoteHost
+        from repro.execution.substrate import ChannelHost, ScaledWallClock
+        from repro.net.remote import _SocketChannel
         from repro.obs import OBS_DISABLED
         from repro.simulation.trace import ChunkTrace
-
-        endpoints = [WorkerEndpoint(name=f"w{i}", host="127.0.0.1", port=1)
-                     for i in range(2)]
-        host = _RemoteHost(grid, endpoints, tmp_path / "results",
-                           ScaledWallClock(0.01), 0.01, OBS_DISABLED)
-        core = _RecordingCore()
-        host.bind(core)
 
         def chunk(chunk_id, worker_index):
             return ChunkTrace(chunk_id=chunk_id, worker_index=worker_index,
                               worker_name=f"w{worker_index}", units=1.0,
                               offset=0.0, round_index=0, phase="steady")
 
-        host._inflight = {3: chunk(3, 0), 7: chunk(7, 0), 9: chunk(9, 1)}
-        host._drop_conn(0, exclude_chunk_id=7)
-        assert core.failed == [3]  # 7 is being resent; 9 is another worker
-        assert set(host._inflight) == {7, 9}
-        assert host.disconnects == 1
+        workers = [SocketWorker(app_spec(DigestApp)) for _ in range(2)]
+        threads = [threading.Thread(target=w.serve_forever, daemon=True)
+                   for w in workers]
+        for thread in threads:
+            thread.start()
+        endpoints = [WorkerEndpoint(name=f"w{i}", host=w.host, port=w.port)
+                     for i, w in enumerate(workers)]
+        clock = ScaledWallClock(0.01)
+        channel = _SocketChannel(grid, endpoints, tmp_path / "results", clock,
+                                 OBS_DISABLED)
+        host = ChannelHost(grid, channel, clock)
+        core = _RecordingCore()
+        host.bind(core)
+        host.start()
+        try:
+            host._inflight = {3: chunk(3, 0), 9: chunk(9, 1)}
+            # kill worker 0's link from under the channel: the next write
+            # on it fails, and its reader reports a (soon stale) loss
+            channel._conns[0].sock.shutdown(socket.SHUT_RDWR)
+            host.enqueue(chunk(7, 0), b"resent on the fresh connection")
+            host.poll()
+            assert core.failed == [3]  # 7 is being resent; 9 is another worker
+            assert set(host._inflight) == {7, 9}
+            host.wait()  # 7 really went out again: its reply arrives
+            assert core.completed == [7]
+            host.poll()  # the old reader's report, whenever it came: stale
+            assert core.failed == [3]
+            assert host.disconnects == 1
+        finally:
+            host.stop()
+            for worker in workers:
+                worker.close()
+            for thread in threads:
+                thread.join(timeout=5)
+        assert not any(thread.is_alive() for thread in threads)
 
 
 class TestRemoteBackendValidation:
