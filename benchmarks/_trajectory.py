@@ -21,11 +21,14 @@ dict becomes ``latest`` with an unattributed trajectory entry.
 
 ``check()`` is the CI regression gate: the newest record's headline
 metric must not exceed ``factor`` times the median of the earlier
-records (lower-is-better metrics only -- latencies, overhead ratios).
+records (latencies, overhead ratios), or -- with ``--higher-is-better``
+(throughputs) -- must not fall below that median divided by ``factor``.
 Run it as a script::
 
     python benchmarks/_trajectory.py check BENCH_net_gateway.json \
         submit_p99_s --factor 1.25
+    python benchmarks/_trajectory.py check BENCH_net_gateway.json \
+        throughput_jobs_per_s --factor 1.25 --higher-is-better
 """
 
 from __future__ import annotations
@@ -106,12 +109,15 @@ def append(path: str | Path, headline: dict, *, latest: dict | None = None) -> d
     return data
 
 
-def check(path: str | Path, metric: str, *, factor: float = 1.25) -> tuple[bool, str]:
-    """Gate the newest record against the history (lower is better).
+def check(
+    path: str | Path, metric: str, *, factor: float = 1.25, higher_is_better: bool = False
+) -> tuple[bool, str]:
+    """Gate the newest record against the history.
 
     Passes when the file has fewer than two records carrying ``metric``
     (nothing to compare), or when the newest value is at most ``factor``
-    times the median of the earlier ones.
+    times the median of the earlier ones -- for a ``higher_is_better``
+    metric, at least that median divided by ``factor``.
     """
     data = load(path)
     values = [
@@ -123,10 +129,12 @@ def check(path: str | Path, metric: str, *, factor: float = 1.25) -> tuple[bool,
         return True, f"{metric}: {len(values)} record(s), nothing to compare"
     baseline = statistics.median(values[:-1])
     newest = values[-1]
-    ratio = newest / baseline if baseline > 0 else float("inf")
+    # the ratio is > 1 when the metric moved the wrong way
+    over, under = (baseline, newest) if higher_is_better else (newest, baseline)
+    ratio = over / under if under > 0 else float("inf")
     message = (
         f"{metric}: latest {newest:.4g} vs baseline median {baseline:.4g} "
-        f"(x{ratio:.3f}, gate x{factor})"
+        f"({'fell' if higher_is_better else 'rose'} x{ratio:.3f}, gate x{factor})"
     )
     return ratio <= factor, message
 
@@ -136,11 +144,16 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     gate = sub.add_parser("check", help="fail when the newest record regressed")
     gate.add_argument("file", help="BENCH_*.json path")
-    gate.add_argument("metric", help="headline key to compare (lower is better)")
+    gate.add_argument("metric", help="headline key to compare")
     gate.add_argument("--factor", type=float, default=1.25,
-                      help="allowed ratio over the baseline median (default 1.25)")
+                      help="allowed ratio to the baseline median (default 1.25)")
+    gate.add_argument("--higher-is-better", action="store_true",
+                      help="the metric is a throughput: fail when it fell, not rose")
     args = parser.parse_args(argv)
-    ok, message = check(args.file, args.metric, factor=args.factor)
+    ok, message = check(
+        args.file, args.metric, factor=args.factor,
+        higher_is_better=args.higher_is_better,
+    )
     print(("OK " if ok else "REGRESSION ") + message)
     return 0 if ok else 1
 

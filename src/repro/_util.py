@@ -22,6 +22,11 @@ def check_positive(name: str, value: float, exc_type: type[Exception]) -> None:
 
 def check_nonnegative(name: str, value: float, exc_type: type[Exception]) -> None:
     """Validate that ``value`` is a finite number >= 0."""
+    # Hot path (once per simulated transfer and computation): an exact
+    # float in [0, inf) passes on two comparisons; anything else takes
+    # the full checks below.
+    if type(value) is float and 0.0 <= value < math.inf:
+        return
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise exc_type(f"{name} must be a number, got {type(value).__name__}")
     if not math.isfinite(value) or value < 0:

@@ -400,6 +400,10 @@ class LoadTracker:
     def __init__(self, division: DivisionMethod) -> None:
         self._division = division
         self._position = 0.0
+        # A division's total never changes; ``exhausted`` runs several
+        # times per chunk, so its two operands are fixed here.
+        self._total = division.total_units
+        self._tolerance = 1e-9 * max(1.0, self._total)
 
     @property
     def division(self) -> DivisionMethod:
@@ -407,7 +411,7 @@ class LoadTracker:
 
     @property
     def total_units(self) -> float:
-        return self._division.total_units
+        return self._total
 
     @property
     def consumed(self) -> float:
@@ -415,11 +419,11 @@ class LoadTracker:
 
     @property
     def remaining(self) -> float:
-        return self._division.total_units - self._position
+        return self._total - self._position
 
     @property
     def exhausted(self) -> bool:
-        return self.remaining <= 1e-9 * max(1.0, self.total_units)
+        return self._total - self._position <= self._tolerance
 
     def take(self, requested_units: float) -> ChunkExtent:
         """Consume ~``requested_units`` from the front of the load."""
@@ -427,18 +431,20 @@ class LoadTracker:
             raise DivisionError("load exhausted")
         if requested_units <= 0:
             raise DivisionError(f"requested chunk must be positive ({requested_units})")
-        total = self._division.total_units
-        target = min(self._position + requested_units, total)
-        snapped = self._division.nearest_cutoff(target)
-        if snapped <= self._position:
-            snapped = self._division.next_cutoff(self._position)
+        division = self._division
+        position = self._position
+        total = self._total
+        target = min(position + requested_units, total)
+        snapped = division.nearest_cutoff(target)
+        if snapped <= position:
+            snapped = division.next_cutoff(position)
         # absorb a tail that no further cut-off could split off
         if snapped < total:
-            after = self._division.next_cutoff(snapped)
-            if after >= total and (total - snapped) < (snapped - self._position):
+            after = division.next_cutoff(snapped)
+            if after >= total and (total - snapped) < (snapped - position):
                 # leftover is smaller than this chunk: absorb it now
                 snapped = total
-        extent = ChunkExtent(offset=self._position, units=snapped - self._position)
+        extent = ChunkExtent(offset=position, units=snapped - position)
         self._position = snapped
         return extent
 
@@ -447,5 +453,5 @@ class LoadTracker:
         if self.exhausted:
             raise DivisionError("load exhausted")
         extent = ChunkExtent(offset=self._position, units=self.remaining)
-        self._position = self._division.total_units
+        self._position = self._total
         return extent

@@ -15,6 +15,8 @@ against stock UMR under probe error and uncertainty.
 
 from __future__ import annotations
 
+from collections import deque
+
 from ..errors import InfeasibleScheduleError
 from ..platform.resources import WorkerSpec
 from .base import ChunkInfo, DispatchRequest, Scheduler, SchedulerConfig, WorkerState
@@ -45,7 +47,7 @@ class AdaptiveUMR(Scheduler):
         self._gain = adaptation_gain
         self._max_rounds = max_rounds
         self._replan_threshold = replan_threshold
-        self._queue: list[DispatchRequest] = []
+        self._queue: deque[DispatchRequest] = deque()
         self._speeds: list[float] = []
         self._rounds_started: set[int] = set()
         self._round_offset = 0
@@ -74,7 +76,7 @@ class AdaptiveUMR(Scheduler):
             for i, w in enumerate(self.config.estimates)
         ]
 
-    def _build_plan(self, load: float, config: SchedulerConfig) -> list[DispatchRequest]:
+    def _build_plan(self, load: float, config: SchedulerConfig) -> deque[DispatchRequest]:
         estimates = (
             self._current_estimates() if self._speeds else list(config.estimates)
         )
@@ -86,7 +88,7 @@ class AdaptiveUMR(Scheduler):
             plan = proportional_one_round(estimates, load)
         queue = UMR._build_queue(plan, phase="adaptive-umr")
         if self._round_offset:
-            queue = [
+            queue = deque(
                 DispatchRequest(
                     worker_index=r.worker_index,
                     units=r.units,
@@ -94,7 +96,7 @@ class AdaptiveUMR(Scheduler):
                     phase=r.phase,
                 )
                 for r in queue
-            ]
+            )
         return queue
 
     def next_dispatch(self, now: float, workers: list[WorkerState]) -> DispatchRequest | None:
@@ -104,7 +106,7 @@ class AdaptiveUMR(Scheduler):
             if remaining <= 0:
                 self._queue.clear()
                 return None
-            self._queue.pop(0)
+            self._queue.popleft()
             units = min(request.units, remaining)
             if units <= 0:
                 continue
@@ -160,7 +162,8 @@ class AdaptiveUMR(Scheduler):
             (r.round_index for r in keep),
             default=max(self._rounds_started, default=-1),
         )
-        self._queue = keep + self._build_plan(load, self.config)
+        self._queue = deque(keep)
+        self._queue.extend(self._build_plan(load, self.config))
         self._planned_speeds = list(self._speeds)
         self._replans += 1
 

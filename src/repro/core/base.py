@@ -23,7 +23,7 @@ Conventions
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .._util import check_positive
 from ..errors import SchedulingError
@@ -51,7 +51,7 @@ class DispatchRequest:
             raise SchedulingError(f"dispatch must carry positive load, got {self.units}")
 
 
-@dataclass
+@dataclass(slots=True)
 class ChunkInfo:
     """Driver-side record of a dispatched chunk, as seen by schedulers."""
 

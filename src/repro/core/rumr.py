@@ -35,6 +35,7 @@ fraction (80% in the paper) of the load in the UMR phase.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
 from ..errors import InfeasibleScheduleError, SchedulingError
@@ -74,20 +75,40 @@ class GammaEstimator:
     """
 
     samples: dict[int, list[float]] = field(default_factory=dict)
+    #: worker -> (n, sum, squared-deviation sum) of its residuals, kept in
+    #: step with ``samples`` so a completion re-sums one worker, not all
+    _parts: dict[int, tuple[int, float, float]] = field(
+        default_factory=dict, init=False, repr=False
+    )
+
+    def __post_init__(self) -> None:
+        for worker_index, residuals in self.samples.items():
+            self._parts[worker_index] = self._summarize(residuals)
+
+    @staticmethod
+    def _summarize(residuals: list[float]) -> tuple[int, float, float]:
+        n = len(residuals)
+        total = sum(residuals)
+        if n < 2:
+            return n, total, 0.0
+        mean = total / n
+        return n, total, sum((r - mean) ** 2 for r in residuals)
 
     def add(self, worker_index: int, residual: float) -> None:
         if residual <= 0 or not math.isfinite(residual):
             return
-        self.samples.setdefault(worker_index, []).append(residual)
+        residuals = self.samples.setdefault(worker_index, [])
+        residuals.append(residual)
+        self._parts[worker_index] = self._summarize(residuals)
 
     @property
     def total_samples(self) -> int:
-        return sum(len(v) for v in self.samples.values())
+        return sum(n for n, _, _ in self._parts.values())
 
     @property
     def effective_samples(self) -> int:
         """Degrees of freedom of the pooled within-worker variance."""
-        return sum(max(0, len(v) - 1) for v in self.samples.values()) + 1
+        return sum(max(0, n - 1) for n, _, _ in self._parts.values()) + 1
 
     def pooled_cov(self) -> float:
         """Pooled within-worker coefficient of variation of residuals."""
@@ -95,14 +116,12 @@ class GammaEstimator:
         dof = 0
         total = 0.0
         count = 0
-        for residuals in self.samples.values():
-            n = len(residuals)
-            total += sum(residuals)
+        for n, worker_total, worker_sq_sum in self._parts.values():
+            total += worker_total
             count += n
             if n < 2:
                 continue
-            mean = sum(residuals) / n
-            sq_sum += sum((r - mean) ** 2 for r in residuals)
+            sq_sum += worker_sq_sum
             dof += n - 1
         if dof < 1 or count == 0:
             return 0.0
@@ -165,7 +184,7 @@ class RUMR(Scheduler):
         self._max_rounds = max_rounds
 
         self._umr_plan: UMRPlan | None = None
-        self._umr_queue: list[DispatchRequest] = []
+        self._umr_queue: deque[DispatchRequest] = deque()
         self._rounds_started: set[int] = set()
         self._wf: WeightedFactoring | None = None
         self._speeds: list[float] = []
@@ -219,7 +238,7 @@ class RUMR(Scheduler):
                 # everything left belongs to the Factoring phase
                 self._umr_queue.clear()
                 break
-            self._umr_queue.pop(0)
+            self._umr_queue.popleft()
             units = min(request.units, remaining - self._phase2_reserved())
             if units <= 0:
                 continue
@@ -346,9 +365,9 @@ class RUMR(Scheduler):
         ]
         reclaim_load = sum(req.units for req in reclaimable)
         if reclaim_load >= self._min_useful * desired_load:
-            self._umr_queue = [
+            self._umr_queue = deque(
                 req for req in self._umr_queue if req.round_index in self._rounds_started
-            ]
+            )
             self._switched = True
             self._switch_time = now
             self._phase2_load = reclaim_load

@@ -39,6 +39,7 @@ number of rounds" without its continuous relaxation machinery.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 from ..errors import InfeasibleScheduleError, SchedulingError
@@ -83,20 +84,6 @@ class UMRPlan:
         return [sum(r) for r in self.rounds]
 
 
-def _series(t0: float, m: int, q: float, mu: float, a: float, rho: float) -> list[float]:
-    """Round compute times T_0..T_{M-1} from the recurrence."""
-    out = [t0]
-    for _ in range(m - 1):
-        t = out[-1]
-        if rho == 1.0:
-            out.append(t - a)
-        else:
-            out.append((t - a) / rho)
-    return out
-    # (closed form T_j = mu + (T_0 - mu) q^j is used for the solve; the
-    # explicit iteration here avoids catastrophic q**j blowup checks)
-
-
 def compute_umr_plan(
     estimates: list[WorkerSpec],
     total_load: float,
@@ -128,6 +115,7 @@ def compute_umr_plan(
     # Smallest feasible per-round compute time: every worker's chunk must be
     # at least one quantum.
     t_min = max(w.comp_latency + quantum / w.speed for w in estimates)
+    t_floor = t_min - 1e-9
 
     best: tuple[float, int, float] | None = None  # (makespan, M, T_0)
     for m in range(1, max_rounds + 1):
@@ -135,13 +123,24 @@ def compute_umr_plan(
         t0 = _solve_t0(sum_t, m, q, mu, big_a, rho)
         if t0 is None:
             continue
-        series = _series(t0, m, q, mu, big_a, rho)
-        if min(series) < t_min - 1e-9:
+        # Walk T_0..T_{M-1} by the recurrence (explicit iteration, not the
+        # closed form T_j = mu + (T_0 - mu) q^j used for the solve, which
+        # would need q**j blowup checks), summing left to right.  A round
+        # shorter than the floor rejects the candidate, so the walk stops
+        # at the first one.  (rho == 1 needs no special case: dividing by
+        # 1.0 is exact.)
+        t = series_sum = t0
+        for _ in range(m - 1):
+            if t < t_floor:
+                break
+            t = (t - big_a) / rho
+            series_sum += t
+        if t < t_floor:
             continue
         # Numeric degeneracy guard: for large M the closed-form T_0 can sit
         # within float epsilon of the fixed point, in which case the
         # iterated series no longer satisfies load conservation at all.
-        realized = stot * sum(series) - m * big_c
+        realized = stot * series_sum - m * big_c
         if abs(realized - total_load) > 1e-3 * total_load:
             continue
         d0 = sum(
@@ -159,11 +158,11 @@ def compute_umr_plan(
         )
 
     makespan, m, t0 = best
-    series = _series(t0, m, q, mu, big_a, rho)
-    rounds = [
-        [w.speed * (t - w.comp_latency) for w in estimates]
-        for t in series
-    ]
+    rounds = []
+    t = t0
+    for _ in range(m):
+        rounds.append([w.speed * (t - w.comp_latency) for w in estimates])
+        t = (t - big_a) / rho
     _normalize_total(rounds, total_load)
     d0 = sum(
         w.comm_latency + w.speed * (t0 - w.comp_latency) / w.bandwidth
@@ -255,7 +254,7 @@ class UMR(Scheduler):
         super().__init__()
         self._max_rounds = max_rounds
         self._plan_obj: UMRPlan | None = None
-        self._queue: list[DispatchRequest] = []
+        self._queue: deque[DispatchRequest] = deque()
         self._fallback = False
 
     @property
@@ -282,8 +281,8 @@ class UMR(Scheduler):
     @staticmethod
     def _build_queue(
         plan: UMRPlan, *, phase: str, quantum_floor: float = 0.0
-    ) -> list[DispatchRequest]:
-        queue: list[DispatchRequest] = []
+    ) -> deque[DispatchRequest]:
+        queue: deque[DispatchRequest] = deque()
         for j, round_chunks in enumerate(plan.rounds):
             for i, units in enumerate(round_chunks):
                 if units <= quantum_floor:
@@ -302,7 +301,7 @@ class UMR(Scheduler):
             if remaining <= 0:
                 self._queue.clear()
                 return None
-            self._queue.pop(0)
+            self._queue.popleft()
             units = min(request.units, remaining)
             if units <= 0:
                 continue

@@ -33,6 +33,7 @@ handle is in effect.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, replace
 from pathlib import Path
 from time import perf_counter
@@ -198,7 +199,7 @@ class DispatchCore:
         self._chunks: list[ChunkTrace] = []
         self._extents: dict[int, ChunkExtent] = {}
         self._attempts: dict[int, int] = {}
-        self._retry_queue: list[ChunkTrace] = []
+        self._retry_queue: deque[ChunkTrace] = deque()
         self._retransmits = 0
         self._results: dict[int, Path] = {}
         self._outstanding = 0
@@ -217,6 +218,9 @@ class DispatchCore:
         self._twin_origin: dict[int, int] = {}
         #: losing copies: late completion/failure callbacks are discarded
         self._abandoned: set[int] = set()
+        #: chunk_id -> the ChunkInfo built at dispatch, handed to the
+        #: scheduler again on arrival and completion
+        self._infos: dict[int, ChunkInfo] = {}
         #: chunk_id -> the ChunkInfo the scheduler was told at dispatch
         #: time (escalated/adopted chunks complete on a different worker)
         self._notify_as: dict[int, ChunkInfo] = {}
@@ -495,47 +499,52 @@ class DispatchCore:
         the scheduler observes the identical sequence of states on every
         backend.
         """
+        host = self._host
+        transport = self._transport
+        tracker = self._tracker
+        retry_queue = self._retry_queue
         idle_ticks = 0
         while True:
-            self._host.poll()
+            host.poll()
+            # Read once per iteration: nothing below changes either
+            # without dispatching, and every dispatch restarts the loop.
+            busy = transport.busy
+            exhausted = tracker.exhausted
             if (
-                self._tracker.exhausted
+                exhausted
                 and self._outstanding == 0
-                and not self._retry_queue
-                and not self._transport.busy
+                and not retry_queue
+                and not busy
                 and self._pending_outputs == 0
             ):
                 return
-            if self._retry_queue and not self._transport.busy:
-                self._resend(self._retry_queue.pop(0))
-                idle_ticks = 0
-                continue
-            if not self._transport.busy and not self._tracker.exhausted:
-                request = self._next_dispatch()
-                if request is not None:
-                    self._dispatch(request)
+            if not busy:
+                if retry_queue:
+                    self._resend(retry_queue.popleft())
                     idle_ticks = 0
                     continue
-            if not self._transport.busy and self._maybe_speculate():
-                idle_ticks = 0
-                continue
-            if (
-                self._outstanding > 0
-                or self._transport.busy
-                or self._pending_outputs > 0
-            ):
+                if not exhausted:
+                    request = self._next_dispatch()
+                    if request is not None:
+                        self._dispatch(request)
+                        idle_ticks = 0
+                        continue
+                if self._detector is not None and self._maybe_speculate():
+                    idle_ticks = 0
+                    continue
+            if self._outstanding > 0 or busy or self._pending_outputs > 0:
                 if self._detector is not None and self._speculation_pending():
                     # A chunk may cross its straggler threshold while we
                     # wait; on hosts where wall time advances on its own,
                     # nap briefly and re-check instead of blocking until
                     # a completion that may never come.
-                    if self._host.idle_tick():
+                    if host.idle_tick():
                         idle_ticks = 0
                         continue
                     # Event-driven host with a drained queue: the stuck
                     # chunk will never complete on its own -- speculate
                     # regardless of the modeled elapsed time.
-                    if not self._host.wait():
+                    if not host.wait():
                         if self._maybe_speculate(force=True):
                             idle_ticks = 0
                             continue
@@ -545,7 +554,7 @@ class DispatchCore:
                         )
                     idle_ticks = 0
                     continue
-                if not self._host.wait():
+                if not host.wait():
                     raise SimulationError(
                         "dispatch core has in-flight work but no further "
                         "progress is possible (event queue drained)"
@@ -556,7 +565,7 @@ class DispatchCore:
             # time advances on its own, give it a moment; otherwise (and
             # after too many moments) this is a stall.
             idle_ticks += 1
-            if idle_ticks > _MAX_IDLE_TICKS or not self._host.idle_tick():
+            if idle_ticks > _MAX_IDLE_TICKS or not host.idle_tick():
                 raise SchedulingError(
                     f"{self._scheduler.name} stalled with "
                     f"{self._tracker.remaining:.3f} units undispatched "
@@ -564,12 +573,14 @@ class DispatchCore:
                 )
 
     def _next_dispatch(self) -> DispatchRequest | None:
+        # The scheduler gets the live state list, not a copy: schedulers
+        # read it (no in-tree one mutates it) and the length never changes.
         if self._obs.profiler is None:
-            return self._scheduler.next_dispatch(self._clock.now(), list(self._states))
+            return self._scheduler.next_dispatch(self._clock.now(), self._states)
         # Accumulate locally; flushed to the profiler once per run()
         # so the hot loop pays two clock reads and a float add.
         plan_start = perf_counter()  # repro: allow[sim-time] -- profiler: wall-clock cost of planning itself
-        request = self._scheduler.next_dispatch(self._clock.now(), list(self._states))
+        request = self._scheduler.next_dispatch(self._clock.now(), self._states)
         self._plan_seconds += perf_counter() - plan_start  # repro: allow[sim-time] -- profiler: wall-clock cost of planning itself
         self._plan_calls += 1
         return request
@@ -592,25 +603,27 @@ class DispatchCore:
                 ("redirect", self._chunk_counter, request.worker_index, target)
             )
             request = replace(request, worker_index=target)
+        worker = request.worker_index
         extent = self._tracker.take(request.units)
+        units = extent.units
         now = self._clock.now()
+        cid = self._chunk_counter
+        state = self._states[worker]
         chunk = ChunkTrace(
-            chunk_id=self._chunk_counter,
-            worker_index=request.worker_index,
-            worker_name=self._grid.workers[request.worker_index].name,
-            units=extent.units,
+            chunk_id=cid,
+            worker_index=worker,
+            worker_name=state.name,
+            units=units,
             offset=extent.offset,
             round_index=request.round_index,
             phase=request.phase,
             send_start=now,
-            predicted_compute=self._estimates[request.worker_index].compute_time(
-                extent.units
-            ),
+            predicted_compute=self._estimates[worker].compute_time(units),
         )
         self._chunk_counter += 1
         self._chunks.append(chunk)
-        self._extents[chunk.chunk_id] = extent
-        self._attempts[chunk.chunk_id] = 1
+        self._extents[cid] = extent
+        self._attempts[cid] = 1
         if self._obs.enabled:
             if request.round_index > self._max_round:
                 self._max_round = request.round_index
@@ -638,12 +651,13 @@ class DispatchCore:
             if self._m_dispatched is not None:
                 self._m_dispatched.inc()
                 self._m_units.inc(chunk.units)
-        state = self._states[request.worker_index]
         state.outstanding += 1
-        state.outstanding_units += extent.units
+        state.outstanding_units += units
         self._outstanding += 1
-        self._open_chunk_span(chunk)
-        self._scheduler.notify_dispatched(self._info(chunk))
+        if self._obs.tracer is not None:
+            self._open_chunk_span(chunk)
+        info = self._infos[cid] = self._info(chunk)
+        self._scheduler.notify_dispatched(info)
         self._transport.send(chunk, extent)
 
     def _resend(self, chunk: ChunkTrace) -> None:
@@ -666,7 +680,9 @@ class DispatchCore:
         ):
             # Twins and escalated re-dispatches are driver-internal: the
             # scheduler already saw this chunk arrive once.
-            self._scheduler.notify_arrival(self._info(chunk), self._clock.now())
+            self._scheduler.notify_arrival(
+                self._infos[chunk.chunk_id], self._clock.now()
+            )
         self._host.enqueue(chunk, payload)
 
     def chunk_completed(self, chunk: ChunkTrace, result_path: Path | None = None) -> None:
@@ -684,42 +700,42 @@ class DispatchCore:
             twin = self._twins.pop(cid, None)
             if twin is not None:
                 self._speculation_lost(chunk, twin)
+        compute_time = chunk.compute_time
         state = self._states[chunk.worker_index]
         state.outstanding -= 1
         state.outstanding_units -= chunk.units
         state.completed_chunks += 1
         state.completed_units += chunk.units
-        state.busy_time += chunk.compute_time
+        state.busy_time += compute_time
         self._outstanding -= 1
         if result_path is not None:
-            self._results[chunk.chunk_id] = result_path
-        self._finish_chunk_span(chunk, compute_time=chunk.compute_time)
+            self._results[cid] = result_path
+        if self._chunk_spans:
+            self._finish_chunk_span(chunk, compute_time=compute_time)
         now = self._clock.now()
         if self._obs.enabled:
             if self._bus is not None:
                 self._bus.emit(
                     CHUNK_COMPLETED,
                     sim_time=now,
-                    chunk_id=chunk.chunk_id,
+                    chunk_id=cid,
                     worker=chunk.worker_name,
                     worker_index=chunk.worker_index,
                     units=chunk.units,
                     queue_time=chunk.queue_time,
-                    compute_time=chunk.compute_time,
+                    compute_time=compute_time,
                 )
             if self._m_completed is not None:
                 self._m_completed.inc()
                 self._m_queue.observe(chunk.queue_time)
-                self._m_compute.observe(chunk.compute_time)
+                self._m_compute.observe(compute_time)
         if self._detector is not None:
-            self._detector.observe(
-                chunk.worker_index, chunk.units, chunk.compute_time
-            )
+            self._detector.observe(chunk.worker_index, chunk.units, compute_time)
         self._scheduler.notify_completion(
-            self._notify_as.pop(cid, None) or self._info(chunk),
+            self._notify_as.pop(cid, None) or self._infos[cid],
             now,
             predicted_time=chunk.predicted_compute,
-            actual_time=chunk.compute_time,
+            actual_time=compute_time,
         )
         if self._options.output_factor > 0 and self._transport.supports_outputs:
             self._pending_outputs += 1

@@ -10,13 +10,20 @@ The engine deliberately has no notion of processes or channels -- the
 master/worker logic in :mod:`repro.simulation.master` composes callbacks
 directly, which keeps simulations of hundreds of thousands of chunk events
 fast and easy to reason about.
+
+Heap entries are plain lists ``[time, seq, callback, args]``, so every
+heap comparison is the C list comparison.  ``seq`` is unique per engine:
+a comparison is decided at ``time`` or, on a tie, at ``seq`` (insertion
+order) and never reaches the callback or its arguments, which need not be
+orderable.  An :class:`EventHandle` holds its entry; cancelling sets the
+callback slot to ``None`` and the entry is skipped when it reaches the
+top of the heap (until then it still counts as pending).
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
 from time import perf_counter
 from typing import TYPE_CHECKING, Any, Callable
 
@@ -27,16 +34,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 
 EventCallback = Callable[..., None]
 
-
-@dataclass(order=True)
-class _ScheduledEvent:
-    """Heap entry: ordered by (time, sequence number)."""
-
-    time: float
-    seq: int
-    callback: EventCallback = field(compare=False)
-    args: tuple[Any, ...] = field(compare=False, default=())
-    cancelled: bool = field(compare=False, default=False)
+# Heap-entry slots: [time, seq, callback, args]; callback None = cancelled.
+_TIME, _CALLBACK = 0, 2
 
 
 class EventHandle:
@@ -45,23 +44,23 @@ class EventHandle:
     Supports cancellation; a cancelled event is skipped when popped.
     """
 
-    __slots__ = ("_event",)
+    __slots__ = ("_entry",)
 
-    def __init__(self, event: _ScheduledEvent) -> None:
-        self._event = event
+    def __init__(self, entry: list[Any]) -> None:
+        self._entry = entry
 
     @property
     def time(self) -> float:
         """Simulated time at which the event fires."""
-        return self._event.time
+        return self._entry[_TIME]
 
     @property
     def cancelled(self) -> bool:
-        return self._event.cancelled
+        return self._entry[_CALLBACK] is None
 
     def cancel(self) -> None:
         """Prevent the event from firing (idempotent)."""
-        self._event.cancelled = True
+        self._entry[_CALLBACK] = None
 
 
 class SimulationEngine:
@@ -81,17 +80,14 @@ class SimulationEngine:
     """
 
     def __init__(self, *, profiler: "EngineProfiler | None" = None) -> None:
-        self._heap: list[_ScheduledEvent] = []
+        self._heap: list[list[Any]] = []
         self._seq = itertools.count()
-        self._now = 0.0
+        #: Current simulated time in seconds.  A plain attribute (models
+        #: read it several times per event); only the engine advances it.
+        self.now = 0.0
         self._running = False
         self._processed = 0
         self._profiler = profiler
-
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
 
     @property
     def pending_events(self) -> int:
@@ -105,33 +101,37 @@ class SimulationEngine:
 
     def schedule(self, delay: float, callback: EventCallback, *args: Any) -> EventHandle:
         """Schedule ``callback(*args)`` to fire ``delay`` seconds from now."""
-        if delay < 0:
+        if not (delay >= 0):  # written so that NaN is rejected too
             raise SimulationError(f"cannot schedule event in the past (delay={delay})")
-        return self.schedule_at(self._now + delay, callback, *args)
+        return self._push(self.now + delay, callback, args)
 
     def schedule_at(self, time: float, callback: EventCallback, *args: Any) -> EventHandle:
         """Schedule ``callback(*args)`` at absolute simulated time ``time``."""
-        if time < self._now:
+        if not (time >= self.now):  # written so that NaN is rejected too
             raise SimulationError(
-                f"cannot schedule event at t={time} before current time t={self._now}"
+                f"cannot schedule event at t={time} before current time t={self.now}"
             )
-        event = _ScheduledEvent(time=time, seq=next(self._seq), callback=callback, args=args)
-        heapq.heappush(self._heap, event)
+        return self._push(time, callback, args)
+
+    def _push(self, time: float, callback: EventCallback, args: tuple[Any, ...]) -> EventHandle:
+        entry = [time, next(self._seq), callback, args]
+        heapq.heappush(self._heap, entry)
         if self._profiler is not None:
             self._profiler.note_heap_depth(len(self._heap))
-        return EventHandle(event)
+        return EventHandle(entry)
 
     def step(self) -> bool:
         """Execute the next event.  Returns False when the queue is empty."""
-        while self._heap:
-            event = heapq.heappop(self._heap)
-            if event.cancelled:
+        heap = self._heap
+        while heap:
+            time, _seq, callback, args = heapq.heappop(heap)
+            if callback is None:
                 continue
-            if event.time < self._now:
+            if time < self.now:
                 raise SimulationError("event heap corrupted: time went backwards")
-            self._now = event.time
+            self.now = time
             self._processed += 1
-            event.callback(*event.args)
+            callback(*args)
             return True
         return False
 
@@ -154,29 +154,23 @@ class SimulationEngine:
         executed = 0
         run_start = perf_counter() if self._profiler is not None else 0.0  # repro: allow[sim-time] -- profiler measures wall events/s, not modeled time
         try:
-            while self._heap:
-                next_time = self._next_pending_time()
-                if next_time is None:
+            heap = self._heap
+            while heap:
+                head = heap[0]
+                if head[_CALLBACK] is None:
+                    heapq.heappop(heap)
+                    continue
+                if until is not None and head[_TIME] > until:
                     break
-                if until is not None and next_time > until:
-                    self._now = max(self._now, until)
-                    return
-                if not self.step():
-                    break
+                self.step()
                 executed += 1
                 if max_events is not None and executed > max_events:
                     raise SimulationError(
                         f"simulation exceeded max_events={max_events}; likely livelock"
                     )
             if until is not None:
-                self._now = max(self._now, until)
+                self.now = max(self.now, until)
         finally:
             self._running = False
             if self._profiler is not None:
                 self._profiler.note_run(executed, perf_counter() - run_start)  # repro: allow[sim-time] -- profiler measures wall events/s, not modeled time
-
-    def _next_pending_time(self) -> float | None:
-        """Time of the next non-cancelled event, or None if drained."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0].time if self._heap else None

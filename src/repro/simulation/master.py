@@ -18,6 +18,7 @@ result is an :class:`~repro.simulation.trace.ExecutionReport`.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from time import perf_counter
 
@@ -105,7 +106,7 @@ class _SimTransport:
 class _WorkerRuntime:
     """Host-internal dynamic state of one simulated worker."""
 
-    queue: list[ChunkTrace] = field(default_factory=list)
+    queue: deque[ChunkTrace] = field(default_factory=deque)
     computing: ChunkTrace | None = None
 
 
@@ -167,7 +168,7 @@ class _SimHost:
         return False  # simulated time only moves through events
 
     def _start_compute(self, runtime: _WorkerRuntime) -> None:
-        chunk = runtime.queue.pop(0)
+        chunk = runtime.queue.popleft()
         runtime.computing = chunk
         chunk.compute_start = self._engine.now
         duration = self._model.realized_compute_time(

@@ -16,6 +16,7 @@ fires when the payload has fully arrived at the worker.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
@@ -24,7 +25,7 @@ from .compute import ComputeModel
 from .engine import SimulationEngine
 
 
-@dataclass
+@dataclass(slots=True)
 class TransferRecord:
     """Completed transfer: who, how much, and when it occupied the link."""
 
@@ -51,17 +52,16 @@ class SerializedLink:
     def __init__(self, engine: SimulationEngine, compute_model: ComputeModel) -> None:
         self._engine = engine
         self._model = compute_model
-        self._busy = False
-        self._queue: list[tuple[int, float, Callable[[TransferRecord], None], object]] = []
+        #: True while a transfer is in flight.  A plain attribute (the
+        #: drive loop reads it on every iteration); only the link sets it.
+        self.busy = False
+        self._queue: deque[
+            tuple[int, float, Callable[[TransferRecord], None], object]
+        ] = deque()
         self._records: list[TransferRecord] = []
         self._busy_time = 0.0
         #: Hook called (with no arguments) when the link drains.
         self.on_idle: Callable[[], None] | None = None
-
-    @property
-    def busy(self) -> bool:
-        """True while a transfer is in flight."""
-        return self._busy
 
     @property
     def queued(self) -> int:
@@ -100,18 +100,18 @@ class SerializedLink:
         if units < 0:
             raise SimulationError(f"cannot transfer negative load ({units})")
         self._queue.append((worker_index, units, on_complete, tag))
-        if not self._busy:
+        if not self.busy:
             self._start_next()
 
     def _start_next(self) -> None:
-        if self._busy:
+        if self.busy:
             raise SimulationError("link already busy")
         if not self._queue:
             return
-        worker_index, units, on_complete, tag = self._queue.pop(0)
+        worker_index, units, on_complete, tag = self._queue.popleft()
         duration = self._model.realized_transfer_time(worker_index, units)
         start = self._engine.now
-        self._busy = True
+        self.busy = True
         self._busy_time += duration
         record = TransferRecord(
             worker_index=worker_index,
@@ -125,11 +125,11 @@ class SerializedLink:
     def _finish(
         self, record: TransferRecord, on_complete: Callable[[TransferRecord], None]
     ) -> None:
-        self._busy = False
+        self.busy = False
         self._records.append(record)
         on_complete(record)
         # The completion callback may have submitted more work.
-        if not self._busy and self._queue:
+        if not self.busy and self._queue:
             self._start_next()
-        if not self._busy and not self._queue and self.on_idle is not None:
+        if not self.busy and not self._queue and self.on_idle is not None:
             self.on_idle()

@@ -19,7 +19,7 @@ from .._util import coefficient_of_variation, format_seconds
 from ..errors import SimulationError
 
 
-@dataclass
+@dataclass(slots=True)
 class ChunkTrace:
     """Lifecycle of a single chunk of load."""
 

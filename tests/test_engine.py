@@ -52,6 +52,39 @@ class TestScheduling:
         with pytest.raises(SimulationError, match="before current time"):
             engine.schedule_at(5.0, lambda: None)
 
+    def test_nan_times_rejected_at_the_call(self):
+        """NaN compares false to everything, so ``nan < 0`` let it through
+        and it surfaced later as a corrupted heap (or a silent misorder)."""
+        engine = SimulationEngine()
+        engine.schedule(1.0, lambda: None)
+        with pytest.raises(SimulationError, match="in the past"):
+            engine.schedule(float("nan"), lambda: None)
+        with pytest.raises(SimulationError, match="before current time"):
+            engine.schedule_at(float("nan"), lambda: None)
+        assert engine.pending_events == 1
+        engine.run()
+        assert engine.now == 1.0
+
+    def test_equal_times_never_compare_callbacks_or_args(self):
+        """Heap entries are ``[time, seq, callback, args]`` compared by the
+        C list comparison; the unique ``seq`` must decide every tie before
+        it reaches a callback or argument that cannot be ordered."""
+
+        class Unorderable:
+            def __lt__(self, other):
+                raise AssertionError("heap compared a payload")
+
+            __gt__ = __le__ = __ge__ = __lt__
+
+        engine = SimulationEngine()
+        fired = []
+        for tag in range(50):
+            engine.schedule(1.0, lambda payload, tag=tag: fired.append(tag), Unorderable())
+        for tag in range(50, 60):
+            engine.schedule_at(1.0, lambda payload, tag=tag: fired.append(tag), Unorderable())
+        engine.run()
+        assert fired == list(range(60))
+
     def test_events_can_schedule_more_events(self):
         engine = SimulationEngine()
         fired = []
@@ -92,6 +125,35 @@ class TestCancellation:
         engine.run()
         assert fired == ["keep"]
         assert keep.time == 1.0
+
+
+    def test_cancelled_handle_is_skipped_and_still_reports(self):
+        engine = SimulationEngine()
+        fired = []
+        drop = engine.schedule(1.0, fired.append, "drop")
+        keep = engine.schedule(2.0, fired.append, "keep")
+        assert not drop.cancelled and not keep.cancelled
+        drop.cancel()
+        assert drop.cancelled and drop.time == 1.0
+        # a cancelled entry stays queued (and counted) until it is popped
+        assert engine.pending_events == 2
+        assert engine.step() is True  # skips "drop", fires "keep"
+        assert fired == ["keep"]
+        assert engine.now == 2.0 and engine.processed_events == 1
+        assert engine.pending_events == 0
+        assert drop.cancelled and drop.time == 1.0
+        assert not keep.cancelled and keep.time == 2.0
+
+    def test_cancelled_head_does_not_hold_back_run_until(self):
+        engine = SimulationEngine()
+        fired = []
+        engine.schedule(1.0, fired.append, "never").cancel()
+        engine.schedule(3.0, fired.append, "later")
+        engine.run(until=2.0)
+        assert fired == [] and engine.now == 2.0
+        assert engine.pending_events == 1  # the cancelled head was dropped
+        engine.run()
+        assert fired == ["later"]
 
 
 class TestRunBounds:

@@ -1,5 +1,7 @@
 """Tests for RUMR, Fixed-RUMR, and the online gamma estimator."""
 
+import math
+
 import pytest
 
 from repro.core.rumr import RUMR, GammaEstimator, fixed_rumr
@@ -70,6 +72,60 @@ class TestGammaEstimator:
         est.add(0, float("nan"))
         est.add(0, float("inf"))
         assert est.total_samples == 0
+
+
+def _naive_estimate(samples: dict[int, list[float]]) -> tuple[float, float, int, int]:
+    """(pooled_cov, lcb, total, effective): re-sums every residual of
+    every worker with the two-pass formula, in first-seen worker order."""
+    sq_sum = total = 0.0
+    dof = count = 0
+    for residuals in samples.values():
+        n = len(residuals)
+        total += sum(residuals)
+        count += n
+        if n >= 2:
+            mean = sum(residuals) / n
+            sq_sum += sum((r - mean) ** 2 for r in residuals)
+            dof += n - 1
+    cov = 0.0
+    if dof >= 1 and total / count > 0:
+        cov = math.sqrt(sq_sum / dof) / (total / count)
+    lcb = cov * max(0.0, 1.0 - 1.645 / math.sqrt(2.0 * dof)) if dof >= 1 else 0.0
+    return cov, lcb, count, dof + 1
+
+
+class TestGammaEstimatorIncremental:
+    """The estimator keeps per-worker partial sums; every float it reports
+    must equal (``==``, not approx) a from-scratch recomputation."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_naive_two_pass_after_every_add(self, seed):
+        import numpy as np
+
+        rng = np.random.default_rng(seed)
+        est = GammaEstimator()
+        reference: dict[int, list[float]] = {}
+        for _ in range(400):
+            worker = int(rng.integers(0, 7))
+            residual = float(rng.normal(1.0 + 0.05 * worker, 0.15))
+            if rng.random() < 0.05:
+                residual = float(rng.choice([-1.0, 0.0, math.nan, math.inf]))
+            est.add(worker, residual)
+            if residual > 0 and math.isfinite(residual):
+                reference.setdefault(worker, []).append(residual)
+            cov, lcb, total, effective = _naive_estimate(reference)
+            assert est.pooled_cov() == cov
+            assert est.lower_confidence_bound() == lcb
+            assert est.total_samples == total
+            assert est.effective_samples == effective
+        assert est.samples == reference
+
+    def test_preloaded_samples_are_summarized(self):
+        samples = {3: [1.0, 1.2, 0.9], 0: [1.1]}
+        est = GammaEstimator(samples={k: list(v) for k, v in samples.items()})
+        cov, lcb, total, effective = _naive_estimate(samples)
+        assert (est.pooled_cov(), est.lower_confidence_bound()) == (cov, lcb)
+        assert (est.total_samples, est.effective_samples) == (total, effective)
 
 
 class TestFixedRUMR:
