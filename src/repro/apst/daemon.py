@@ -20,23 +20,27 @@ Either way the scheduler-driving loop is the shared
 :class:`~repro.dispatch.core.DispatchCore`; a backend merely supplies its
 clock + transport + compute host (a
 :class:`~repro.dispatch.protocols.DispatchSubstrate`), and the daemon's
-observability handle instruments every backend identically.
+observability handle instruments every backend identically.  There is one
+way to run a job: :meth:`APSTDaemon.run_claimed` over
+:meth:`APSTDaemon.run_segment`; ``run_pending`` and the multi-job service
+differ only in the executor they hand the former.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import os
 import uuid
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Protocol
+from typing import Callable, Iterator, Protocol
 
 from ..core.base import Scheduler
 from ..core.registry import make_scheduler
 from ..errors import JobUnrecoverableError, SpecificationError
-from ..dispatch.core import DispatchCore, DispatchOptions
+from ..dispatch.core import DispatchCore
 from ..dispatch.protocols import DispatchSubstrate, RetryPolicy
 from ..obs import (
     JOB_CANCELLED,
@@ -51,7 +55,7 @@ from ..obs import (
 )
 from ..platform.resources import Grid
 from ..resilience import DeadLetterEntry, DeadLetterQueue, ResiliencePolicy
-from ..simulation.master import SimulatedMaster, SimulationOptions
+from ..simulation.master import SimulationOptions, build_substrate
 from ..simulation.compute import UncertaintyModel
 from ..simulation.trace import ExecutionReport
 from ..store import (
@@ -70,8 +74,7 @@ class ExecutionBackend(Protocol):
 
     The daemon owns the scheduler-driving loop (the shared
     :class:`~repro.dispatch.core.DispatchCore`); a backend only supplies
-    the substrate it runs on.  ``last_outputs``, if present, lists the
-    result files of the most recent run in chunk-offset order.
+    the substrate it runs on.
     """
 
     def substrate(
@@ -116,9 +119,10 @@ class Job:
 class PreparedJob:
     """A job validated and ready to execute: division built, probe sized.
 
-    Produced by :meth:`APSTDaemon.prepare`; consumed by the daemon's own
-    sequential path and by the multi-job service layer, which needs a
-    fresh scheduler instance per lease segment (``scheduler_factory``).
+    Produced by :meth:`APSTDaemon.prepare` inside
+    :meth:`APSTDaemon.run_claimed`; consumed by its executors -- the
+    sequential one and the multi-job service layer, which needs a fresh
+    scheduler instance per lease segment (``scheduler_factory``).
     """
 
     job: Job
@@ -325,14 +329,8 @@ class APSTDaemon:
         """Owner to assert on a transition: ours iff we hold the claim."""
         return self._owner if job_id in self._claimed else None
 
-    def claim_pending(self, limit: int | None = None) -> list[Job]:
-        """Atomically claim queued jobs in this daemon's shard.
-
-        Jobs this instance already holds a lease on (stolen at recovery
-        or takeover) but has not started yet are returned first, without
-        a second claim-audit record.
-        """
-        jobs = []
+    def _held_queued(self) -> Iterator[StoredJob]:
+        """Jobs this instance holds a lease on but has not started yet."""
         for job_id in sorted(self._claimed):
             try:
                 record = self._store.get_job(job_id)
@@ -343,7 +341,16 @@ class APSTDaemon:
                 record.state == JobState.QUEUED.value
                 and record.owner == self._owner
             ):
-                jobs.append(self._job_for_record(record))
+                yield record
+
+    def claim_pending(self, limit: int | None = None) -> list[Job]:
+        """Atomically claim queued jobs in this daemon's shard.
+
+        Jobs this instance already holds a lease on (stolen at recovery
+        or takeover) but has not started yet are returned first, without
+        a second claim-audit record.
+        """
+        jobs = [self._job_for_record(record) for record in self._held_queued()]
         shard_index, shard_count = self._claim_shard()
         claimed = self._store.claim(
             self._owner,
@@ -381,17 +388,8 @@ class APSTDaemon:
 
     def has_pending(self) -> bool:
         """Any work this daemon could run right now (held or claimable)?"""
-        for job_id in list(self._claimed):
-            try:
-                record = self._store.get_job(job_id)
-            except StoreError:
-                self._claimed.discard(job_id)
-                continue
-            if (
-                record.state == JobState.QUEUED.value
-                and record.owner == self._owner
-            ):
-                return True
+        if next(self._held_queued(), None) is not None:
+            return True
         shard_index, shard_count = self._claim_shard()
         return (
             self._store.claimable(
@@ -415,55 +413,47 @@ class APSTDaemon:
             requeued += 1
         return {"requeued": requeued, "stolen": stolen}
 
-    def mark_running(self, job: Job) -> bool:
-        """Transition a job to RUNNING in the store; False if lost to a steal."""
-        try:
-            self._store.transition(
-                job.job_id,
-                JobState.RUNNING.value,
-                expect=(JobState.QUEUED.value,),
-                owner=self._owner_for(job.job_id),
-            )
-        except StoreConflictError:
-            self._claimed.discard(job.job_id)
-            self._job_for_record(self.stored(job.job_id))
-            return False
-        job.state = JobState.RUNNING
-        return True
+    def _transition(self, job: Job, state: JobState, **fields) -> bool:
+        """Move a job we claimed to ``state`` in the store (owner-checked).
 
-    def record_failure(
-        self,
-        job: Job,
-        error: str,
-        *,
-        failure_chain: list[str] | None = None,
-    ) -> bool:
-        """Mark a job FAILED (and park it when a failure chain is given).
-
-        Returns False -- recording nothing -- when the terminal
-        transition loses to a peer that stole the job's lease: the peer
-        re-runs it, so this instance's failure must not count.
+        False -- changing nothing -- when a peer stole the job's lease:
+        the thief runs it now, so nothing recorded here may count.
         """
         try:
             self._store.transition(
-                job.job_id,
-                JobState.FAILED.value,
-                owner=self._owner_for(job.job_id),
-                error=error,
+                job.job_id, state.value, owner=self._owner_for(job.job_id), **fields
             )
         except StoreConflictError:
             self._claimed.discard(job.job_id)
             self._job_for_record(self.stored(job.job_id))
             return False
-        self._claimed.discard(job.job_id)
-        job.state = JobState.FAILED
+        if state is not JobState.RUNNING:
+            self._claimed.discard(job.job_id)
+        job.state = state
+        return True
+
+    def mark_running(self, job: Job) -> bool:
+        """Transition a job to RUNNING in the store; False if lost to a steal."""
+        return self._transition(
+            job, JobState.RUNNING, expect=(JobState.QUEUED.value,)
+        )
+
+    def record_failure(self, job: Job, exc: Exception) -> bool:
+        """Mark a job FAILED; a :class:`JobUnrecoverableError` also parks it
+        in the dead-letter queue with its failure chain.
+
+        Returns False -- recording nothing -- when a peer stole the job.
+        """
+        error = f"{type(exc).__name__}: {exc}"
+        if not self._transition(job, JobState.FAILED, error=error):
+            return False
         job.error = error
-        if failure_chain is not None:
+        if isinstance(exc, JobUnrecoverableError):
             entry = self._dlq.park(
                 job_id=job.job_id,
                 algorithm=job.algorithm,
                 task=job.task,
-                failure_chain=failure_chain,
+                failure_chain=exc.failure_chain + [error],
                 spec_xml=task_to_xml(job.task),
             )
             if self._obs.enabled:
@@ -545,22 +535,79 @@ class APSTDaemon:
         return job.job_id
 
     def run_pending(self, *, raise_on_error: bool = True) -> list[int]:
-        """Run every queued job; returns the ids that were executed.
+        """Run every queued job, one at a time; returns the ids executed.
 
         With ``raise_on_error=False`` a failing job is recorded as FAILED
         (state + ``error`` + lifecycle event) but does not abort the
-        sweep -- the mode long-running fronts (the network gateway) use,
-        where one bad submission must not starve the jobs queued behind it.
+        sweep -- the mode long-running fronts use, where one bad
+        submission must not starve the jobs queued behind it.
         """
         executed = []
         for job in self.claim_pending():
-            try:
-                self._run_job(job)
-            except Exception:
-                if raise_on_error:
-                    raise
+            failures = self.run_claimed([job], self._run_alone)
+            if failures and raise_on_error:
+                raise failures[job.job_id]
             executed.append(job.job_id)
         return executed
+
+    def run_claimed(
+        self,
+        jobs: list[Job],
+        execute: Callable[[list[PreparedJob]], dict[int, ExecutionReport | Exception]],
+    ) -> dict[int, Exception]:
+        """Take claimed jobs that run *together* to their terminal states.
+
+        The one ``mark_running`` -> ``prepare`` -> run -> ``record_result``
+        / ``record_failure`` sequence: :meth:`run_pending` calls it with
+        one job at a time, the multi-job service with everything it
+        claimed.  ``execute`` turns the prepared jobs into a report or an
+        exception each, by job id, so a failing job fails alone; if it
+        raises, the whole group fails and the error propagates.  Returns
+        the failures.
+        """
+        prepared: list[PreparedJob] = []
+        results: dict[int, ExecutionReport | Exception] = {}
+        for job in jobs:
+            if not self.mark_running(job):
+                continue  # lease stolen between claim and run; the thief runs it
+            try:
+                prepared.append(self.prepare(job.job_id))
+            except Exception as exc:
+                results[job.job_id] = exc
+                self.record_failure(job, exc)
+        try:
+            results.update(execute(prepared))
+        except Exception as exc:
+            for entry in prepared:  # nothing may stay RUNNING
+                self.record_failure(entry.job, exc)
+            raise
+        for entry in prepared:
+            result = results[entry.job.job_id]
+            if isinstance(result, ExecutionReport):
+                self.record_result(entry.job, result)
+            else:
+                self.record_failure(entry.job, result)
+        return {i: r for i, r in results.items() if isinstance(r, Exception)}
+
+    def _run_alone(
+        self, prepared: list[PreparedJob]
+    ) -> dict[int, ExecutionReport | Exception]:
+        """Executor of the sequential path: one segment on the whole platform."""
+        results: dict[int, ExecutionReport | Exception] = {}
+        for entry in prepared:
+            try:
+                results[entry.job.job_id] = self.run_segment(
+                    self._platform,
+                    entry.scheduler_factory(),
+                    entry.division.total_units,
+                    division=entry.division,
+                    probe_units=entry.probe_units,
+                    seed=self._config.seed,
+                    job_id=entry.job.job_id,
+                )
+            except Exception as exc:
+                results[entry.job.job_id] = exc
+        return results
 
     def job(self, job_id: int) -> Job:
         return self._job_for_record(self.stored(job_id))
@@ -726,9 +773,8 @@ class APSTDaemon:
     def prepare(self, job_id: int) -> PreparedJob:
         """Pre-flight a job and build its division, without running it.
 
-        The sequential path (:meth:`run_pending`) and the multi-job service
-        layer share this step; the service then drives the returned
-        ``scheduler_factory`` once per lease segment.
+        A step of :meth:`run_claimed`; the service clock then drives the
+        returned ``scheduler_factory`` once per lease segment.
         """
         job = self.job(job_id)
         self._preflight(job, division=None)
@@ -743,33 +789,16 @@ class APSTDaemon:
         )
 
     def record_result(self, job: Job, report: ExecutionReport) -> bool:
-        """Install an externally produced report and mark the job DONE.
+        """Install a job's report and mark it DONE (history learning included).
 
-        The multi-job service layer runs jobs through its own clock and
-        hands the per-job reports back through this method, so history
-        learning and the client-facing verbs see service jobs exactly
-        like sequential ones.
-
-        Returns False -- discarding the result -- when the terminal
-        transition loses to a peer that stole this job's expired lease:
-        the peer owns (and re-runs) it now, so recording here would be a
-        double completion.
+        Returns False -- discarding the result -- when a peer stole the
+        job: recording here would be a double completion.
         """
-        try:
-            self._store.transition(
-                job.job_id,
-                JobState.DONE.value,
-                owner=self._owner_for(job.job_id),
-                makespan=report.makespan,
-                chunks=report.num_chunks,
-            )
-        except StoreConflictError:
-            self._claimed.discard(job.job_id)
-            self._job_for_record(self.stored(job.job_id))
+        if not self._transition(
+            job, JobState.DONE, makespan=report.makespan, chunks=report.num_chunks
+        ):
             return False
-        self._claimed.discard(job.job_id)
         job.report = report
-        job.state = JobState.DONE
         job.makespan = report.makespan
         job.chunks = report.num_chunks
         self._record_history(job)
@@ -783,49 +812,6 @@ class APSTDaemon:
             )
             self._count_job_event("done")
         return True
-
-    def _run_job(self, job: Job) -> None:
-        tracer = self._obs.tracer
-        context = (
-            parse_traceparent(job.traceparent) if tracer is not None else None
-        )
-        if context is None:
-            self._run_job_inner(job)
-            return
-        # Activate the submitter's trace context for the duration of the
-        # run: the job.run span parents to the gateway's submit span, and
-        # every nested span (probe, engine.run, per-chunk dispatch) links
-        # under it -- across the wire, the workers' spans link back here.
-        with tracer.activate(context), tracer.span(
-            "job.run", category="daemon",
-            job_id=job.job_id, algorithm=job.algorithm,
-        ):
-            self._run_job_inner(job)
-
-    def _run_job_inner(self, job: Job) -> None:
-        if not self.mark_running(job):
-            return  # lease stolen between claim and run; the thief runs it
-        try:
-            prepared = self.prepare(job.job_id)
-            division = prepared.division
-            scheduler = prepared.scheduler_factory()
-            probe_units = prepared.probe_units
-            if self._backend == "simulation":
-                report = self._simulate(scheduler, division, probe_units)
-            else:
-                report, job.outputs = self._execute_on_backend(
-                    scheduler, division, job.task, probe_units
-                )
-            self.record_result(job, report)
-        except Exception as exc:
-            error = f"{type(exc).__name__}: {exc}"
-            chain = (
-                exc.failure_chain + [error]
-                if isinstance(exc, JobUnrecoverableError)
-                else None
-            )
-            self.record_failure(job, error, failure_chain=chain)
-            raise
 
     def _preflight(self, job: Job, division: DivisionMethod | None) -> None:
         """Run pre-flight checks; errors abort the job, warnings accumulate."""
@@ -866,48 +852,7 @@ class APSTDaemon:
                 return float(probe_path.stat().st_size)
         return None
 
-    def _execute_on_backend(
-        self,
-        scheduler: Scheduler,
-        division: DivisionMethod,
-        task: TaskSpec,
-        probe_units: float | None,
-    ) -> tuple[ExecutionReport, list[Path]]:
-        """Drive the shared dispatch core over the backend's substrate."""
-        options = DispatchOptions(probe_units=probe_units)
-        if self._config.retry is not None:
-            options.retry = self._config.retry
-        if self._config.resilience is not None:
-            options.resilience = self._config.resilience
-        if self._obs.enabled:
-            options.observability = self._obs
-        core = DispatchCore(
-            self._platform,
-            scheduler,
-            division.total_units,
-            substrate=self._backend.substrate(self._platform, division, task),
-            division=division,
-            options=options,
-        )
-        report = core.run()
-        return report, core.outputs_in_offset_order()
-
-    def _simulate(
-        self,
-        scheduler: Scheduler,
-        division: DivisionMethod,
-        probe_units: float | None,
-    ) -> ExecutionReport:
-        return self.simulate_segment(
-            self._platform,
-            scheduler,
-            division.total_units,
-            division=division,
-            probe_units=probe_units,
-            seed=self._config.seed,
-        )
-
-    def simulate_segment(
+    def run_segment(
         self,
         grid: Grid,
         scheduler: Scheduler,
@@ -917,34 +862,63 @@ class APSTDaemon:
         probe_units: float | None = None,
         seed: int | None = None,
         quantum: float | None = None,
+        job_id: int | None = None,
+        observed: bool = True,
     ) -> ExecutionReport:
-        """One simulated run on ``grid`` under the daemon's configuration.
+        """One dispatched run on ``grid`` under the daemon's configuration:
+        the only place a run's options are merged and a ``DispatchCore`` built.
 
-        The sequential path runs each job as a single segment on the full
-        platform; the multi-job service layer calls this once per lease
-        segment, on a sub-grid, with the job's remaining load.
+        The sequential path runs a job as one segment on the whole
+        platform; the service clock calls this once per lease segment, on
+        a sub-grid, with the job's remaining load.  ``job_id`` names the
+        job: its result files land in ``job.outputs`` and, with a tracer
+        armed, the run is a ``job.run`` span under the submitter's trace.
+        ``observed=False`` is a counterfactual run (the dedicated-makespan
+        baseline): no events, metrics or spans.
         """
-        options = self._config.simulation_options or SimulationOptions()
-        if probe_units is not None and options.probe_units is None:
-            options = dataclasses.replace(options, probe_units=probe_units)
-        if self._config.retry is not None:
-            options = dataclasses.replace(options, retry=self._config.retry)
-        if self._config.resilience is not None:
-            options = dataclasses.replace(options, resilience=self._config.resilience)
-        if quantum is not None and quantum != options.quantum:
-            options = dataclasses.replace(options, quantum=quantum)
-        if self._obs.enabled and options.observability is None:
-            options = dataclasses.replace(options, observability=self._obs)
-        master = SimulatedMaster(
-            grid,
-            scheduler,
-            total_units,
-            division=division,
-            uncertainty=UncertaintyModel(
-                gamma=self._config.gamma,
-                autocorrelation=self._config.noise_autocorrelation,
-            ),
-            seed=seed,
-            options=options,
-        )
-        return master.run()
+        config = self._config
+        base = config.simulation_options
+        options = dataclasses.replace(base) if base is not None else SimulationOptions()
+        if options.probe_units is None:
+            options.probe_units = probe_units
+        if config.retry is not None:
+            options.retry = config.retry
+        if config.resilience is not None:
+            options.resilience = config.resilience
+        if quantum is not None:
+            options.quantum = quantum
+        if not observed:
+            options.observability = None
+        elif self._obs.enabled and options.observability is None:
+            options.observability = self._obs
+        job = self._jobs.get(job_id) if observed else None
+        tracer = self._obs.tracer
+        context = parse_traceparent(job.traceparent) if job and tracer else None
+        with contextlib.ExitStack() as scope:
+            if context is not None:
+                # job.run parents to the gateway's submit span; every nested
+                # span (probe, engine.run, per-chunk dispatch, and across
+                # the wire the workers' spans) links under it
+                scope.enter_context(tracer.activate(context))
+                scope.enter_context(tracer.span(
+                    "job.run", category="daemon",
+                    job_id=job.job_id, algorithm=job.algorithm,
+                ))
+            if self._backend == "simulation":
+                noise = UncertaintyModel(
+                    gamma=config.gamma, autocorrelation=config.noise_autocorrelation
+                )
+                substrate = build_substrate(
+                    grid, uncertainty=noise, seed=seed, options=options
+                )
+            else:
+                task = job.task if job is not None else None
+                substrate = self._backend.substrate(grid, division, task)
+            core = DispatchCore(
+                grid, scheduler, total_units,
+                substrate=substrate, division=division, options=options,
+            )
+            report = core.run()
+        if job is not None:
+            job.outputs = core.outputs_in_offset_order()
+        return report

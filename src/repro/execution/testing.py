@@ -13,6 +13,10 @@ reproducible:
 
 They are import-safe for worker subprocesses (usable via
 :func:`repro.execution.appspec.app_spec`).
+
+:class:`InMemoryBackend` is the cheapest wall-clock backend: the
+substrate kit over an in-memory channel -- no threads, processes or
+sockets -- for tests that need "some real backend" and nothing more.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import time
 import numpy as np
 
 from ..errors import ExecutionError
+from .substrate import ScaledWallClock, channel_substrate, process_padded
 
 
 class FlakyApp:
@@ -85,3 +90,35 @@ class SlowApp:
     def process(self, data: bytes, units: float | None = None) -> bytes:
         time.sleep(self._delay)
         return hashlib.sha256(data).digest()
+
+
+class InMemoryBackend:
+    """Execution backend whose channel computes on the calling thread."""
+
+    def __init__(self, app=None, *, time_scale: float = 1e-6) -> None:
+        self._app = app or FlakyApp()  # never fails unless told to
+        self._scale = time_scale
+
+    def substrate(self, grid, division, task=None):
+        clock = ScaledWallClock(self._scale)
+        return channel_substrate(
+            grid, division, self, clock, 1 << 20, {"backend": "in-memory"}
+        )
+
+    # -- the WorkerChannel: each request is answered before send() returns --
+    def start(self, on_reply) -> None:
+        self._post = on_reply
+
+    def send(self, index: int, request: dict) -> None:
+        reply = {"worker_index": index, "chunk_id": request["chunk_id"]}
+        try:
+            _, wall_time = process_padded(
+                self._app, request["data"], request["units"], 0.0
+            )
+            reply.update(status="ok", wall_time=wall_time, result_path=None)
+        except ExecutionError as exc:
+            reply.update(status="error", message=str(exc))
+        self._post(reply)
+
+    def stop(self) -> None:
+        pass

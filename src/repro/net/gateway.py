@@ -18,14 +18,21 @@ Traffic shaping is explicit:
 * **request batching** -- a single runner thread drains the queue in
   batches of up to ``config.batch_max`` (lingering
   ``config.batch_window_s`` to let a batch fill) and executes each
-  batch in one multi-job service run (simulation backend) or one
-  ``run_pending`` sweep (remote socket workers registered via
-  ``register_worker``);
+  batch in one multi-job service run;
 * **graceful shutdown** -- idempotent and SIGTERM-safe: new
   submissions are rejected with a clear ``draining`` error, admitted
   jobs are drained, the runner is joined, and any gateway-owned worker
   pool is reaped.  Calling :meth:`shutdown` twice (or racing it with a
   signal) is safe.
+
+There is one way to run a job: gateway admission -> service leases
+(:class:`~repro.service.MultiJobService`) -> the daemon's segment runner
+-> ``DispatchCore``, through one submit call and one run call
+(``_run_admitted``) shared by batches, the store sweep and DLQ replay.
+Registering enough socket workers (``register_worker``) only swaps the
+daemon's backend; tenant / priority / weight still order the jobs, which
+then hold the whole platform one at a time (a segment that really ran
+cannot be preempted after the fact).
 
 Only the runner thread mutates daemon state (submissions, batch
 execution); the event loop answers reads (``status``/``stats``) from
@@ -95,6 +102,15 @@ _HTTP_REASONS = {
     503: "Service Unavailable",
 }
 
+#: GET path -> the request it stands for (/healthz, /metrics: ``_http_get``)
+_HTTP_GET_ROUTES = {
+    "/": {"verb": "ping"},
+    "/stats": {"verb": "stats"},
+    "/status": {"verb": "status"},
+    "/dlq": {"verb": "dlq", "action": "list"},
+    "/trace": {"verb": "trace"},
+}
+
 
 @dataclass
 class GatewayConfig:
@@ -110,7 +126,7 @@ class GatewayConfig:
     batch_window_s: float = 0.01
     #: suggested client back-off carried in retry replies
     retry_after_s: float = 0.05
-    #: worker-lease policy for simulation batches
+    #: worker-lease policy on the simulation backend
     service_policy: str = "fair-share"
     #: wall-clock bound on joining the runner at shutdown
     shutdown_timeout_s: float = 60.0
@@ -126,31 +142,13 @@ class GatewayConfig:
 @dataclass
 class _Submission:
     spec: str
-    algorithm: str | None
-    tenant: str
-    priority: int
-    weight: float
-    arrival: float
-    #: trace context the daemon-side job runs under (the gateway's
-    #: submit span is its parent); None when tracing is off
-    traceparent: str | None = None
+    #: ``MultiJobService.submit`` keywords: algorithm, service metadata and,
+    #: with tracing armed, the ``traceparent`` naming the gateway's submit span
+    options: dict
     future: concurrent.futures.Future = field(
         default_factory=concurrent.futures.Future
     )
     enqueued_at: float = field(default_factory=perf_counter)
-
-    def service_metadata(self) -> dict:
-        """Non-default service scheduling fields (empty when plain)."""
-        supplied = {}
-        if self.tenant != "default":
-            supplied["tenant"] = self.tenant
-        if self.priority != 0:
-            supplied["priority"] = self.priority
-        if self.weight != 1.0:
-            supplied["weight"] = self.weight
-        if self.arrival != 0.0:
-            supplied["arrival"] = self.arrival
-        return supplied
 
 
 class JobGateway:
@@ -187,6 +185,7 @@ class JobGateway:
             maxsize=self._config.max_queue
         )
         self._daemon_lock = lockwatch.create_lock("gateway.daemon")
+        self._run_lock = lockwatch.create_lock("gateway.run")
         self._endpoints: list[WorkerEndpoint] = []
         self._remote_backend: RemoteExecutionBackend | None = None
         self._worker_pool = worker_pool
@@ -409,38 +408,11 @@ class JobGateway:
 
     def _execute_batch(self, batch: list[_Submission]) -> None:
         start = perf_counter()
-        remote = self._remote_active()
         admitted = 0
         for sub in batch:
             try:
                 with self._daemon_lock:
-                    if remote:
-                        # remote batches run straight on the daemon, which
-                        # has no tenant/priority/weight/arrival semantics;
-                        # refuse rather than silently schedule differently
-                        # (also catches remote turning active between
-                        # admission and batch execution)
-                        supplied = sub.service_metadata()
-                        if supplied:
-                            raise ServiceError(
-                                "remote execution does not support service "
-                                f"scheduling metadata {sorted(supplied)}; "
-                                "submit with defaults or use the simulation "
-                                "backend"
-                            )
-                        job_id = self._daemon.submit(
-                            sub.spec, algorithm=sub.algorithm,
-                            traceparent=sub.traceparent,
-                        )
-                    else:
-                        job_id = self._service.submit(
-                            sub.spec,
-                            algorithm=sub.algorithm,
-                            tenant=sub.tenant,
-                            priority=sub.priority,
-                            weight=sub.weight,
-                            arrival=sub.arrival,
-                        )
+                    job_id = self._service.submit(sub.spec, **sub.options)
                 admitted += 1
                 if self._m_latency is not None:
                     self._m_latency.observe(perf_counter() - sub.enqueued_at)
@@ -449,27 +421,33 @@ class JobGateway:
                 sub.future.set_exception(exc)
         if admitted == 0:
             return
-        try:
-            if remote:
-                self._daemon.run_pending(raise_on_error=False)
-            else:
-                self._service.run()
-        except Exception as exc:
-            # per-job failures are recorded on the jobs themselves; a
-            # batch-level failure must not kill the gateway
-            _log.error("batch execution failed: %s", exc)
-        self._sync_daemon_telemetry()
+        self._run_admitted()
         self._batches += 1
         if self._obs.enabled:
             self._obs.emit(
                 NET_BATCH_EXECUTED,
                 size=len(batch),
                 admitted=admitted,
-                remote=remote,
+                remote=self._daemon.backend != "simulation",
                 duration_s=perf_counter() - start,
             )
             if self._m_batch is not None:
                 self._m_batch.observe(float(admitted))
+
+    def _run_admitted(self) -> None:
+        """Run whatever the daemon holds or can claim: the one run call.
+
+        Serialized: batches, the store sweep and DLQ replay call it from
+        different threads and the service's arbiter is stateful.
+        """
+        try:
+            with self._run_lock:
+                self._service.run()
+        except Exception as exc:
+            # per-job failures are recorded on the jobs themselves; a
+            # run-level failure must not kill the gateway
+            _log.error("job execution failed: %s", exc)
+        self._sync_daemon_telemetry()
 
     def _remote_active(self) -> bool:
         return (
@@ -498,18 +476,12 @@ class JobGateway:
                 stolen = self._daemon.takeover()
                 if not stolen and not self._daemon.has_pending():
                     return
-                _log.info(
-                    "store sweep: %d leases stolen, running pending work",
-                    stolen,
-                )
-                if self._remote_active():
-                    self._daemon.run_pending(raise_on_error=False)
-                else:
-                    self._service.run()
-            self._sync_daemon_telemetry()
         except Exception as exc:
             # the sweep is opportunistic; failures surface on the jobs
             _log.error("store sweep failed: %s", exc)
+            return
+        _log.info("store sweep: %d leases stolen, running pending work", stolen)
+        self._run_admitted()
 
     # -- telemetry aggregation -----------------------------------------------
     def _sample_queue_depth(self) -> None:
@@ -673,18 +645,11 @@ class JobGateway:
         await writer.drain()
 
     async def _http_get(self, path: str, writer: asyncio.StreamWriter) -> dict | None:
-        if path == "/":
-            return await self.handle_request({"verb": "ping"})
+        request = _HTTP_GET_ROUTES.get(path)
+        if request is not None:
+            return await self.handle_request(dict(request))
         if path == "/healthz":
             return self._healthz_response()
-        if path == "/stats":
-            return await self.handle_request({"verb": "stats"})
-        if path == "/status":
-            return await self.handle_request({"verb": "status"})
-        if path == "/dlq":
-            return await self.handle_request({"verb": "dlq", "action": "list"})
-        if path == "/trace":
-            return await self.handle_request({"verb": "trace"})
         if path == "/metrics" and self._obs.metrics is not None:
             text = self._obs.metrics.render_prometheus()
             aggregator = self._obs.aggregator
@@ -806,30 +771,20 @@ class JobGateway:
                 request_id,
             )
         try:
-            submission = _Submission(
-                spec=spec,
-                algorithm=request.get("algorithm"),
-                tenant=str(request.get("tenant", "default")),
-                priority=int(request.get("priority", 0)),
-                weight=float(request.get("weight", 1.0)),
-                arrival=float(request.get("arrival", 0.0)),
-            )
+            submission = _Submission(spec, {
+                "algorithm": request.get("algorithm"),
+                "tenant": str(request.get("tenant", "default")),
+                "priority": int(request.get("priority", 0)),
+                "weight": float(request.get("weight", 1.0)),
+                "arrival": float(request.get("arrival", 0.0)),
+            })
         except (TypeError, ValueError) as exc:
             return error_response(
                 "bad_request", f"invalid submit field: {exc}", request_id
             )
-        supplied = submission.service_metadata()
-        if supplied and self._remote_active():
-            return error_response(
-                "conflict",
-                "remote execution is active and does not support service "
-                f"scheduling metadata {sorted(supplied)}; submit with "
-                "defaults or deregister the workers",
-                request_id,
-            )
         trace = self._begin_trace(request)
         if trace is not None:
-            submission.traceparent = TraceContext(
+            submission.options["traceparent"] = TraceContext(
                 trace["trace_id"], trace["span_id"]
             ).to_traceparent()
         try:
@@ -878,8 +833,8 @@ class JobGateway:
         return ok_response(request_id, results=results, accepted=ok)
 
     @staticmethod
-    def _parse_job_id(value) -> int:
-        """Coerce a wire job_id; non-numeric input is the client's error.
+    def _parse_int(name: str, value) -> int:
+        """Coerce a wire integer; non-numeric input is the client's error.
 
         Raises the base :class:`ReproError`, which ``handle_request``
         maps to ``bad_request`` (400) -- not ``internal`` (500).
@@ -887,12 +842,12 @@ class JobGateway:
         try:
             return int(value)
         except (TypeError, ValueError):
-            raise ReproError(f"invalid job_id {value!r}") from None
+            raise ReproError(f"invalid {name} {value!r}") from None
 
     async def _verb_status(self, request: dict, request_id) -> dict:
         job_id = request.get("job_id")
         if job_id is not None:
-            job_id = self._parse_job_id(job_id)
+            job_id = self._parse_int("job_id", job_id)
             jobs = [self._daemon.job(job_id)]
         else:
             jobs = self._daemon.jobs()
@@ -941,7 +896,7 @@ class JobGateway:
         job_id = request.get("job_id")
         if job_id is None:
             return error_response("bad_request", "cancel requires 'job_id'", request_id)
-        job_id = self._parse_job_id(job_id)
+        job_id = self._parse_int("job_id", job_id)
         with self._daemon_lock:
             job = self._daemon.cancel(job_id)
         return ok_response(request_id, job_id=job.job_id, state=job.state.value)
@@ -950,7 +905,7 @@ class JobGateway:
         job_id = request.get("job_id")
         if job_id is None:
             return error_response("bad_request", "outputs requires 'job_id'", request_id)
-        job = self._daemon.job(self._parse_job_id(job_id))
+        job = self._daemon.job(self._parse_int("job_id", job_id))
         if job.state.value != "done":
             return error_response(
                 "conflict", f"job {job_id} is {job.state.value}, not done", request_id
@@ -1012,15 +967,9 @@ class JobGateway:
                 return error_response(
                     "bad_request", "dlq replay requires 'entry_id'", request_id
                 )
-            try:
-                entry_id = int(entry_id)
-            except (TypeError, ValueError):
-                return error_response(
-                    "bad_request", f"invalid entry_id {entry_id!r}", request_id
-                )
             assert self._loop is not None
             job_id = await self._loop.run_in_executor(
-                None, self._replay_entry, entry_id
+                None, self._replay_entry, self._parse_int("entry_id", entry_id)
             )
             job = self._daemon.job(job_id)
             response = ok_response(
@@ -1039,7 +988,7 @@ class JobGateway:
         """Resubmit a parked entry and run it (runner-thread semantics)."""
         with self._daemon_lock:
             job_id = self._daemon.dlq_replay(entry_id)
-            self._daemon.run_pending(raise_on_error=False)
+        self._run_admitted()
         return job_id
 
     async def _verb_register_worker(self, request: dict, request_id) -> dict:
@@ -1052,7 +1001,7 @@ class JobGateway:
         endpoint = WorkerEndpoint(
             name=str(request.get("name") or f"worker-{host}-{port}"),
             host=str(host),
-            port=int(port),
+            port=self._parse_int("port", port),
         )
         assert self._loop is not None
         reachable = await self._loop.run_in_executor(

@@ -11,7 +11,7 @@ per-job simulations (:mod:`~repro.service.clock`), service-level metrics
 """
 
 from .arbiter import POLICIES, LeaseRequest, WorkerLeaseArbiter
-from .clock import LeaseSegment, ServiceClock, ServiceOutcome, default_segment_simulator
+from .clock import LeaseSegment, ServiceClock, ServiceOutcome
 from .manager import JobManager, ServiceJobSpec, TenantAccount
 from .report import JobServiceRecord, ServiceReport
 from .service import MultiJobService
@@ -29,5 +29,4 @@ __all__ = [
     "ServiceReport",
     "TenantAccount",
     "WorkerLeaseArbiter",
-    "default_segment_simulator",
 ]

@@ -29,13 +29,12 @@ paper's serialization is preserved.
 
 from __future__ import annotations
 
-import dataclasses
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Protocol
+from typing import Callable, Iterable
 
+from ..apst.daemon import APSTDaemon, DaemonConfig
 from ..apst.division import DivisionMethod, UniformUnitsDivision
-from ..core.base import Scheduler
 from ..errors import ServiceError
 from ..obs import (
     JOB_ADMITTED,
@@ -47,8 +46,7 @@ from ..obs import (
     Observability,
 )
 from ..platform.resources import Grid
-from ..simulation.compute import UncertaintyModel
-from ..simulation.master import SimulatedMaster, SimulationOptions
+from ..simulation.master import SimulationOptions
 from ..simulation.trace import ChunkTrace, ExecutionReport
 from .arbiter import LeaseRequest, WorkerLeaseArbiter
 from .manager import JobManager, ServiceJobSpec
@@ -57,61 +55,6 @@ from .report import JobServiceRecord, ServiceReport
 _EPS = 1e-9
 #: Epoch-count safety bound (an epoch consumes an arrival or a completion).
 MAX_EPOCHS = 1_000_000
-
-
-class SegmentSimulator(Protocol):
-    """Anything that can simulate one lease segment (a sub-grid run)."""
-
-    def __call__(
-        self,
-        grid: Grid,
-        scheduler: Scheduler,
-        total_units: float,
-        *,
-        division: DivisionMethod | None = None,
-        probe_units: float | None = None,
-        seed: int | None = None,
-        quantum: float | None = None,
-    ) -> ExecutionReport:
-        ...
-
-
-def default_segment_simulator(
-    *,
-    gamma: float = 0.0,
-    autocorrelation: float = 0.0,
-    options: SimulationOptions | None = None,
-) -> SegmentSimulator:
-    """A :class:`SegmentSimulator` for standalone (daemon-less) use."""
-    base = options or SimulationOptions()
-
-    def simulate(
-        grid: Grid,
-        scheduler: Scheduler,
-        total_units: float,
-        *,
-        division: DivisionMethod | None = None,
-        probe_units: float | None = None,
-        seed: int | None = None,
-        quantum: float | None = None,
-    ) -> ExecutionReport:
-        opts = base
-        if probe_units is not None and opts.probe_units is None:
-            opts = dataclasses.replace(opts, probe_units=probe_units)
-        if quantum is not None and quantum != opts.quantum:
-            opts = dataclasses.replace(opts, quantum=quantum)
-        master = SimulatedMaster(
-            grid,
-            scheduler,
-            total_units,
-            division=division,
-            uncertainty=UncertaintyModel(gamma=gamma, autocorrelation=autocorrelation),
-            seed=seed,
-            options=opts,
-        )
-        return master.run()
-
-    return simulate
 
 
 @dataclass
@@ -176,6 +119,8 @@ class ServiceOutcome:
     service: ServiceReport
     #: chronological lease log (who held which workers, when)
     leases: list[LeaseSegment] = field(default_factory=list)
+    #: jobs whose segment raised, by job id; they failed alone
+    failures: dict[int, Exception] = field(default_factory=dict)
 
 
 class ServiceClock:
@@ -189,10 +134,7 @@ class ServiceClock:
         slots: int | None = None,
         arbiter: WorkerLeaseArbiter | None = None,
         manager: JobManager | None = None,
-        simulate: SegmentSimulator | None = None,
-        gamma: float = 0.0,
-        autocorrelation: float = 0.0,
-        options: SimulationOptions | None = None,
+        run_segment: Callable[..., ExecutionReport] | None = None,
         observability: Observability | None = None,
     ) -> None:
         self._grid = grid
@@ -206,25 +148,15 @@ class ServiceClock:
                 f"but the grid has {len(grid)}"
             )
         self._manager = manager or JobManager()
-        # The dedicated-makespan baseline is a counterfactual (the job alone
-        # on the full platform), not part of the service execution: keep it
-        # un-instrumented so it neither pollutes the event stream nor counts
-        # against the observability overhead budget.
-        self._baseline_simulate: SegmentSimulator = simulate or (
-            default_segment_simulator(
-                gamma=gamma, autocorrelation=autocorrelation, options=options
-            )
-        )
-        if self._obs.enabled and (options is None or options.observability is None):
-            # Standalone (daemon-less) use: thread the service-level handle
-            # down into the per-segment simulations as well.
-            options = dataclasses.replace(
-                options or SimulationOptions(), observability=self._obs
-            )
-        self._simulate: SegmentSimulator = simulate or default_segment_simulator(
-            gamma=gamma, autocorrelation=autocorrelation, options=options
-        )
-        self._quantum = (options or SimulationOptions()).quantum
+        if run_segment is None:
+            # standalone use: a default simulation daemon's (pass a
+            # configured daemon's ``run_segment`` for noise, retries, ...)
+            run_segment = APSTDaemon(
+                grid, config=DaemonConfig(observability=observability)
+            ).run_segment
+        self._run_segment = run_segment
+        #: re-division granularity after a preemption (the options default)
+        self._quantum = SimulationOptions.quantum
         self._identity = tuple(range(len(grid)))
 
     @property
@@ -244,11 +176,13 @@ class ServiceClock:
         queued: list[ServiceJobSpec] = []
         running: dict[int, _RunningJob] = {}
         start_order: list[int] = []
-        reports: dict[int, ExecutionReport] = {}
-        records: list[JobServiceRecord] = []
-        busy_box = [0.0]
-        dedicated_cache: dict[int, float] = {}
-        self._lease_log: list[LeaseSegment] = []
+        #: the run's state is the outcome it returns, filled in as jobs end
+        self._out = outcome = ServiceOutcome(
+            reports={},
+            service=ServiceReport(
+                policy=self._arbiter.policy, num_workers=len(self._grid)
+            ),
+        )
 
         now = pending[0].arrival if pending else 0.0
         epochs = 0
@@ -265,9 +199,7 @@ class ServiceClock:
             for jid in due:
                 rj = running.pop(jid)
                 start_order.remove(jid)
-                report, record = self._complete(rj, busy_box, dedicated_cache)
-                reports[jid] = report
-                records.append(record)
+                self._complete(rj)
 
             # 2. admit arrivals that are due
             while pending and pending[0].arrival <= now + _EPS:
@@ -280,24 +212,21 @@ class ServiceClock:
                 [LeaseRequest(job_id=s.job_id, remaining=s.total_load, weight=s.weight)
                  for s in queued_order],
             )
+            failed_now = False
             for jid, lease in desired.items():
                 if jid in running:
                     rj = running[jid]
-                    if lease != rj.lease:
-                        self._truncate(rj, now, busy_box)
-                        if rj.remaining <= _EPS * max(1.0, rj.spec.total_load):
-                            # possible only with trailing non-compute work
-                            # (e.g. output transfers): everything computed,
-                            # so the job is done at this epoch
-                            running.pop(jid)
-                            start_order.remove(jid)
-                            report, record = self._finalize(
-                                rj, now, busy_box, dedicated_cache
-                            )
-                            reports[jid] = report
-                            records.append(record)
-                            continue
-                        self._start_segment(rj, lease, now)
+                    if lease == rj.lease:
+                        continue
+                    self._truncate(rj, now)
+                    if rj.remaining <= _EPS * max(1.0, rj.spec.total_load):
+                        # possible only with trailing non-compute work
+                        # (e.g. output transfers): everything computed,
+                        # so the job is done at this epoch
+                        running.pop(jid)
+                        start_order.remove(jid)
+                        self._finalize(rj, now)
+                        continue
                 else:
                     spec = next(s for s in queued if s.job_id == jid)
                     queued.remove(spec)
@@ -311,9 +240,20 @@ class ServiceClock:
                             wait=now - spec.arrival,
                             workers=len(lease),
                         )
-                    self._start_segment(rj, lease, now)
                     running[jid] = rj
                     start_order.append(jid)
+                try:
+                    self._start_segment(rj, lease, now)
+                except Exception as exc:
+                    # the job fails alone: its lease goes back to the pool
+                    # and the survivors are re-arbitrated at this same epoch
+                    outcome.failures[jid] = exc
+                    failed_now = True
+                    running.pop(jid)
+                    start_order.remove(jid)
+                    self._arbiter.release(jid)
+            if failed_now:
+                continue
 
             # 4. advance the clock to the next epoch
             candidates = [rj.projected_finish for rj in running.values()]
@@ -331,13 +271,7 @@ class ServiceClock:
                 raise ServiceError(f"service time went backwards: {advanced} < {now}")
             now = max(now, advanced)
 
-        service = ServiceReport(
-            policy=self._arbiter.policy,
-            num_workers=len(self._grid),
-            records=records,
-            busy_worker_seconds=busy_box[0],
-        )
-        return ServiceOutcome(reports=reports, service=service, leases=self._lease_log)
+        return outcome
 
     # -- segment management -------------------------------------------------
     def _request(self, rj: _RunningJob, now: float) -> LeaseRequest:
@@ -363,7 +297,7 @@ class ServiceClock:
             seed = None
         else:  # deterministic, distinct per (job, segment)
             seed = spec.seed + 101 * spec.job_id + segment_index
-        report = self._simulate(
+        report = self._run_segment(
             sub_grid,
             spec.scheduler_factory(),
             rj.remaining,
@@ -371,6 +305,7 @@ class ServiceClock:
             probe_units=spec.probe_units,
             seed=seed,
             quantum=quantum,
+            job_id=spec.job_id,
         )
         rj.lease = lease
         rj.segment_start = now
@@ -380,7 +315,7 @@ class ServiceClock:
         rj.peak_workers = max(rj.peak_workers, len(lease))
         segment = LeaseSegment(job_id=spec.job_id, workers=lease, start=now)
         rj.open_segment = segment
-        self._lease_log.append(segment)
+        self._out.leases.append(segment)
         if self._obs.enabled:
             self._obs.emit(
                 LEASE_GRANTED,
@@ -391,11 +326,7 @@ class ServiceClock:
             )
 
     def _absorb(
-        self,
-        rj: _RunningJob,
-        chunks: list[ChunkTrace],
-        occupancy_seconds: float,
-        busy_box: list[float],
+        self, rj: _RunningJob, chunks: list[ChunkTrace], occupancy_seconds: float
     ) -> None:
         """Bank a segment's finished chunks and settle its accounting."""
         assert rj.segment_report is not None
@@ -403,7 +334,7 @@ class ServiceClock:
             c.shifted(rj.segment_start, worker_index=rj.lease[c.worker_index])
             for c in chunks
         )
-        busy_box[0] += sum(c.compute_time for c in chunks)
+        self._out.service.busy_worker_seconds += sum(c.compute_time for c in chunks)
         rj.probe_time += rj.segment_report.probe_time
         rj.annotations.update(rj.segment_report.annotations)
         self._manager.charge(rj.spec.tenant, len(rj.lease) * occupancy_seconds)
@@ -424,7 +355,7 @@ class ServiceClock:
                 duration=now - segment.start,
             )
 
-    def _truncate(self, rj: _RunningJob, now: float, busy_box: list[float]) -> None:
+    def _truncate(self, rj: _RunningJob, now: float) -> None:
         """Preempt the current segment at ``now`` (chunk granularity)."""
         assert rj.segment_report is not None
         elapsed = now - rj.segment_start
@@ -434,7 +365,7 @@ class ServiceClock:
         )
         lost = max(0, dispatched - len(kept))
         rj.retransmits += lost
-        self._absorb(rj, kept, elapsed, busy_box)
+        self._absorb(rj, kept, elapsed)
         rj.remaining = max(0.0, rj.segment_total - sum(c.units for c in kept))
         self._close_segment(rj, now)
         if self._obs.enabled:
@@ -453,35 +384,24 @@ class ServiceClock:
                     help="Chunk-granularity job preemptions in the service clock.",
                 ).inc()
 
-    def _complete(
-        self,
-        rj: _RunningJob,
-        busy_box: list[float],
-        dedicated_cache: dict[int, float],
-    ) -> tuple[ExecutionReport, JobServiceRecord]:
+    def _complete(self, rj: _RunningJob) -> None:
         assert rj.segment_report is not None
         finish = rj.projected_finish
-        self._absorb(
-            rj, rj.segment_report.chunks, finish - rj.segment_start, busy_box
-        )
+        self._absorb(rj, rj.segment_report.chunks, finish - rj.segment_start)
         rj.remaining = 0.0
         self._close_segment(rj, finish)
-        return self._finalize(rj, finish, busy_box, dedicated_cache)
+        self._finalize(rj, finish)
 
-    def _finalize(
-        self,
-        rj: _RunningJob,
-        finish: float,
-        busy_box: list[float],
-        dedicated_cache: dict[int, float],
-    ) -> tuple[ExecutionReport, JobServiceRecord]:
+    def _finalize(self, rj: _RunningJob, finish: float) -> None:
         assert rj.segment_report is not None
         spec = rj.spec
         self._manager.complete(spec)
         self._arbiter.release(spec.job_id)
         if rj.segment_index == 0 and rj.lease == self._identity:
-            # one full-platform segment: this IS the sequential daemon run
+            # one full-platform segment: this IS the sequential daemon run,
+            # and the job alone on the whole platform is its own baseline
             report = rj.segment_report
+            dedicated = report.makespan
         else:
             ordered = sorted(rj.kept, key=lambda c: (c.send_start, c.chunk_id))
             report = ExecutionReport(
@@ -504,20 +424,20 @@ class ServiceClock:
                 },
             )
             report.validate()
-        if spec.job_id not in dedicated_cache:
-            dedicated_cache[spec.job_id] = self._dedicated_makespan(spec)
-        record = JobServiceRecord(
+            dedicated = self._dedicated_makespan(spec)
+        self._out.reports[spec.job_id] = report
+        self._out.service.records.append(JobServiceRecord(
             job_id=spec.job_id,
             tenant=spec.tenant,
             algorithm=report.algorithm,
             arrival=spec.arrival,
             start=rj.job_start,
             finish=finish,
-            dedicated_makespan=dedicated_cache[spec.job_id],
+            dedicated_makespan=dedicated,
             segments=rj.segment_index + 1,
             peak_workers=rj.peak_workers,
             retransmits=rj.retransmits,
-        )
+        ))
         if self._obs.enabled:
             self._obs.emit(
                 JOB_COMPLETED,
@@ -532,16 +452,16 @@ class ServiceClock:
                     "repro_service_job_wait_seconds",
                     help="Time jobs spent queued before their first lease.",
                 ).observe(rj.job_start - spec.arrival)
-        return report, record
 
     def _dedicated_makespan(self, spec: ServiceJobSpec) -> float:
-        """The stretch baseline: the job alone on the full platform."""
-        report = self._baseline_simulate(
+        """The stretch baseline: the job alone on the full platform -- a
+        counterfactual, so it runs un-observed (no events, no metrics)."""
+        return self._run_segment(
             self._grid,
             spec.scheduler_factory(),
             spec.total_load,
             division=spec.division,
             probe_units=spec.probe_units,
             seed=spec.seed,
-        )
-        return report.makespan
+            observed=False,
+        ).makespan

@@ -24,7 +24,6 @@ from typing import Callable, Sequence
 from ..apst.division import DivisionMethod
 from ..core.base import Scheduler
 from ..errors import ServiceError
-from ..resilience import DeadLetterEntry, DeadLetterQueue
 from ..store import JobStore, MemoryStore, TenantUsage
 
 
@@ -81,38 +80,12 @@ class JobManager:
     daemon's store to share accounting across daemons and survive
     restarts; the default private :class:`~repro.store.MemoryStore`
     keeps the old in-process behavior).
-
-    The manager also fronts the service's job-level dead-letter queue:
-    jobs whose chunks cannot complete on any live worker are parked here
-    (with their failure chain) instead of silently staying FAILED, so an
-    operator can inspect and replay them.  By default the manager owns a
-    private queue; the service layer points ``dlq`` at the daemon's so
-    both views show the same entries.
+    Unrecoverable jobs are parked by the daemon
+    (:meth:`~repro.apst.daemon.APSTDaemon.record_failure`), the one place
+    a job fails, whatever route ran it.
     """
 
     store: JobStore = field(default_factory=MemoryStore)
-    dlq: DeadLetterQueue = field(default_factory=DeadLetterQueue)
-
-    def park(
-        self,
-        *,
-        job_id: int,
-        algorithm: str | None,
-        task: object,
-        failure_chain: list[str] | None = None,
-        spec_xml: str | None = None,
-    ) -> DeadLetterEntry:
-        """Park one unrecoverable job in the dead-letter queue."""
-        return self.dlq.park(
-            job_id=job_id,
-            algorithm=algorithm,
-            task=task,
-            failure_chain=failure_chain,
-            spec_xml=spec_xml,
-        )
-
-    def parked(self) -> list[DeadLetterEntry]:
-        return self.dlq.entries()
 
     def account(self, tenant: str) -> TenantAccount:
         """Snapshot of ``tenant``'s accumulated usage (zeroes if unknown)."""

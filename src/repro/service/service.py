@@ -4,22 +4,22 @@
 the same XML task submissions as :class:`~repro.apst.daemon.APSTDaemon`
 (plus service metadata -- tenant, priority, weight, arrival), then runs
 everything queued *concurrently* under a worker-lease policy instead of
-sequentially.  Finished jobs are handed back to the daemon as ordinary
-DONE jobs, so ``status``/``report``/``outputs`` and cross-run history
-learning keep working unchanged.
+sequentially.  It is not a second way to run a job: it hands the daemon's
+:meth:`~repro.apst.daemon.APSTDaemon.run_claimed` sequence an executor --
+the service clock granting leases over the daemon's one segment runner.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-from ..apst.daemon import APSTDaemon, Job, JobState
+from ..apst.daemon import APSTDaemon, Job, PreparedJob
 from ..apst.xmlspec import TaskSpec
-from ..errors import JobUnrecoverableError, ServiceError
+from ..errors import ServiceError
+from ..simulation.trace import ExecutionReport
 from .arbiter import WorkerLeaseArbiter
 from .clock import ServiceClock, ServiceOutcome
 from .manager import JobManager, ServiceJobSpec
-from .report import ServiceReport
 
 
 class MultiJobService:
@@ -38,12 +38,10 @@ class MultiJobService:
             len(daemon.platform), policy, slots=slots,
             observability=daemon.observability,
         )
-        # one store and one DLQ for the deployment: tenant accounts and
-        # parked jobs live in the daemon's job store, so the daemon's
-        # sequential path, the lease clock, and the gateway's verbs all
-        # see the same durable state
+        # one store for the deployment: tenant accounts live in the
+        # daemon's job store, so the lease clock, the gateway's verbs and
+        # a peer daemon all see the same durable state
         self._manager = JobManager(store=daemon.store)
-        self._manager.dlq = daemon.dlq
         self._last_outcome: ServiceOutcome | None = None
 
     @property
@@ -72,6 +70,7 @@ class MultiJobService:
         priority: int = 0,
         weight: float = 1.0,
         arrival: float = 0.0,
+        traceparent: str | None = None,
     ) -> int:
         """Queue a task with service metadata; returns the daemon job id."""
         if not tenant:
@@ -90,6 +89,7 @@ class MultiJobService:
             priority=priority,
             weight=weight,
             arrival=arrival,
+            traceparent=traceparent,
         )
 
     def cancel(self, job_id: int) -> Job:
@@ -110,69 +110,47 @@ class MultiJobService:
 
         Jobs are *claimed* from the store first (owner + lease), so two
         daemons sharing a SQLite store partition the queue without ever
-        double-running a job; service metadata comes back off the durable
-        records.
+        double-running a job.  A job whose segment raises fails alone
+        (``outcome.failures``); its batch-mates run on.
         """
+        self._daemon.run_claimed(self._daemon.claim_pending(), self._run_leased)
+        return self._last_outcome
+
+    def _run_leased(
+        self, prepared: list[PreparedJob]
+    ) -> dict[int, ExecutionReport | Exception]:
+        daemon = self._daemon
+        arbiter = self._arbiter
+        if daemon.backend != "simulation":
+            # a segment that really ran cannot be truncated after the fact:
+            # jobs hold the whole platform one at a time, in admission order
+            arbiter = WorkerLeaseArbiter(
+                len(daemon.platform), "fifo", observability=daemon.observability
+            )
         specs = []
-        for job in self._daemon.claim_pending():
-            record = self._daemon.stored(job.job_id)
-            if not self._daemon.mark_running(job):
-                continue  # lost the claim to a peer between claim and run
-            try:
-                prepared = self._daemon.prepare(job.job_id)
-            except Exception as exc:
-                self._daemon.record_failure(
-                    job, f"{type(exc).__name__}: {exc}"
-                )
-                continue
+        for entry in prepared:
+            # service metadata comes back off the durable record
+            record = daemon.stored(entry.job.job_id)
             specs.append(
                 ServiceJobSpec(
-                    job_id=job.job_id,
-                    scheduler_factory=prepared.scheduler_factory,
-                    total_load=prepared.division.total_units,
+                    job_id=record.job_id,
+                    scheduler_factory=entry.scheduler_factory,
+                    total_load=entry.division.total_units,
                     arrival=record.arrival,
                     tenant=record.tenant,
                     priority=record.priority,
                     weight=record.weight,
-                    division=prepared.division,
-                    probe_units=prepared.probe_units,
-                    seed=self._daemon.config.seed,
+                    division=entry.division,
+                    probe_units=entry.probe_units,
+                    seed=daemon.config.seed,
                 )
             )
-        if not specs:
-            outcome = ServiceOutcome(
-                reports={},
-                service=ServiceReport(
-                    policy=self._arbiter.policy,
-                    num_workers=len(self._daemon.platform),
-                ),
-            )
-            self._last_outcome = outcome
-            return outcome
         clock = ServiceClock(
-            self._daemon.platform,
-            arbiter=self._arbiter,
+            daemon.platform,
+            arbiter=arbiter,
             manager=self._manager,
-            simulate=self._daemon.simulate_segment,
-            observability=self._daemon.observability,
+            run_segment=daemon.run_segment,
+            observability=daemon.observability,
         )
-        try:
-            outcome = clock.run(specs)
-        except Exception as exc:
-            chain = (
-                exc.failure_chain if isinstance(exc, JobUnrecoverableError) else None
-            )
-            for spec in specs:
-                job = self._daemon.job(spec.job_id)
-                if job.state is JobState.RUNNING:
-                    error = f"{type(exc).__name__}: {exc}"
-                    self._daemon.record_failure(
-                        job,
-                        error,
-                        failure_chain=chain + [error] if chain is not None else None,
-                    )
-            raise
-        for job_id, report in outcome.reports.items():
-            self._daemon.record_result(self._daemon.job(job_id), report)
-        self._last_outcome = outcome
-        return outcome
+        self._last_outcome = outcome = clock.run(specs)
+        return {**outcome.reports, **outcome.failures}

@@ -23,6 +23,31 @@ def _no_lock_order_cycles():
 
 
 @pytest.fixture
+def doom_algorithm(monkeypatch):
+    """``doom_algorithm("simple-2")``: every run of that algorithm raises
+    :class:`JobUnrecoverableError` inside the dispatch core -- where real
+    unrecoverable failures surface -- so the injection does not depend on
+    which route led to the core."""
+    from repro.dispatch.core import DispatchCore
+    from repro.errors import JobUnrecoverableError
+
+    def arm(name: str) -> None:
+        original = DispatchCore.run
+
+        def run(core):
+            if core._scheduler.name == name:
+                raise JobUnrecoverableError(
+                    "every worker failed its probe",
+                    failure_chain=["worker w1 quarantined: probe failure"],
+                )
+            return original(core)
+
+        monkeypatch.setattr(DispatchCore, "run", run)
+
+    return arm
+
+
+@pytest.fixture
 def small_grid() -> Grid:
     """A tiny homogeneous grid: 4 workers, mild latencies, r = 10."""
     return Grid.from_clusters(

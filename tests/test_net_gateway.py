@@ -13,12 +13,14 @@ import pytest
 from repro.apst.daemon import APSTDaemon, DaemonConfig, JobState
 from repro.execution.appspec import app_spec
 from repro.execution.local import DigestApp
+from repro.execution.testing import InMemoryBackend
 from repro.net import (
     GatewayClient,
     GatewayConfig,
     GatewayError,
     JobGateway,
     RemoteWorkerPool,
+    WorkerEndpoint,
 )
 from repro.obs import NET_BATCH_EXECUTED, NET_REQUEST, Observability
 from repro.platform.presets import das2_cluster
@@ -197,44 +199,114 @@ class TestClientRetrySemantics:
         client.close()
 
 
-class TestRemoteModeMetadata:
-    """Service scheduling metadata must be rejected, not silently dropped,
-    while remote execution is active (remote batches bypass the service)."""
+async def _as_one_batch(gateway, requests):
+    """Admit ``requests`` through the verb layer, then run them as ONE
+    batch on an executor thread (the gateway's runner is never started,
+    so batch composition does not depend on timing)."""
+    replies = [asyncio.ensure_future(gateway.handle_request(r)) for r in requests]
+    while gateway._pending.qsize() + sum(r.done() for r in replies) < len(requests):
+        await asyncio.sleep(0)  # until each is admitted or refused
+    batch = [gateway._pending.get_nowait() for _ in range(gateway._pending.qsize())]
+    await asyncio.get_running_loop().run_in_executor(
+        None, gateway._execute_batch, batch
+    )
+    return await asyncio.gather(*replies)
 
-    def test_submit_with_metadata_is_a_conflict_when_remote(self, workspace,
-                                                            monkeypatch):
+
+def _go_remote(gateway, backend):
+    """What enough ``register_worker`` calls do, minus the sockets."""
+    slots = len(gateway._daemon.platform.workers)
+    gateway._endpoints = [
+        WorkerEndpoint(name=f"w{i}", host="127.0.0.1", port=1) for i in range(slots)
+    ]
+    gateway._remote_backend = backend
+    gateway._daemon.set_backend(backend)
+    assert gateway._remote_active()
+
+
+class TestOneRoute:
+    """Every submission takes gateway -> service -> daemon -> DispatchCore,
+    whatever the backend; nothing is refused or handled differently in
+    remote mode."""
+
+    def test_remote_mode_honours_tenant_and_priority(self, workspace):
+        obs = Observability.armed()
+        daemon = _daemon(workspace, observability=obs)
+        gateway = JobGateway(daemon)
+        _go_remote(gateway, InMemoryBackend())
+        mixed = [("acme", 0), ("default", 5), ("zeta", 1), ("acme", 5)]
+        replies = asyncio.run(_as_one_batch(gateway, [
+            {"verb": "submit", "spec": TASK_XML, "tenant": tenant,
+             "priority": priority}
+            for tenant, priority in mixed
+        ]))
+        assert [r["status"] for r in replies] == ["ok"] * 4  # no 409
+        ids = [r["job_id"] for r in replies]
+        for job_id in ids:
+            job = daemon.job(job_id)
+            assert job.state is JobState.DONE
+            assert job.report.annotations["backend"] == "in-memory"
+        # exclusive whole-platform leases, granted in admission order:
+        # priority first, then the least-served tenant, then job id
+        granted = obs.ring_events("lease.granted")
+        assert [e.fields["job_id"] for e in granted] == [
+            ids[1], ids[3], ids[2], ids[0]
+        ]
+        assert all(e.fields["workers"] == [0, 1, 2, 3] for e in granted)
+        records = gateway._service.last_outcome.service.records
+        assert gateway._service.last_outcome.service.policy == "fifo"
+        starts = {r.job_id: (r.start, r.finish) for r in records}
+        order = sorted(ids, key=lambda j: starts[j][0])
+        assert order == [ids[1], ids[3], ids[2], ids[0]]
+        for earlier, later in zip(order, order[1:]):
+            assert starts[earlier][1] <= starts[later][0]  # never concurrent
+
+    def test_one_unrecoverable_job_fails_alone_in_a_batch(self, workspace,
+                                                          doom_algorithm):
+        daemon = _daemon(workspace)
+        gateway = JobGateway(daemon)
+        doom_algorithm("simple-2")
+        replies = asyncio.run(_as_one_batch(gateway, [
+            {"verb": "submit", "spec": TASK_XML},
+            {"verb": "submit", "spec": TASK_XML, "algorithm": "simple-2"},
+            {"verb": "submit", "spec": TASK_XML},
+        ]))
+        assert [r["job_id"] for r in replies] == [1, 2, 3]
+        assert [daemon.job(j).state.value for j in (1, 2, 3)] == [
+            "done", "failed", "done"
+        ]
+        (entry,) = daemon.dlq_entries()
+        assert entry.job_id == 2
+        assert any("quarantined" in line for line in entry.failure_chain)
+
+    def test_job_run_links_under_gateway_submit_in_simulation_mode(
+        self, workspace
+    ):
+        obs = Observability.armed()
+        gateway = JobGateway(_daemon(workspace, observability=obs))
+        (reply,) = asyncio.run(_as_one_batch(
+            gateway, [{"verb": "submit", "spec": TASK_XML}]
+        ))
+        spans = gateway.distributed_trace()["spans"]
+
+        def only(name):
+            (span,) = [s for s in spans if s["name"] == name]
+            return span
+
+        submit, run, engine = only("gateway.submit"), only("job.run"), only("engine.run")
+        assert submit["args"]["job_id"] == reply["job_id"]
+        assert run["parent_span_id"] == submit["span_id"]
+        assert engine["parent_span_id"] == run["span_id"]
+        assert run["trace_id"] == engine["trace_id"] == submit["trace_id"]
+
+    def test_register_worker_with_non_numeric_port_is_bad_request(self, workspace):
         gateway = JobGateway(_daemon(workspace))
-        monkeypatch.setattr(gateway, "_remote_active", lambda: True)
         response = asyncio.run(gateway.handle_request(
-            {"verb": "submit", "spec": TASK_XML, "tenant": "acme",
-             "priority": 5}
+            {"verb": "register_worker", "host": "127.0.0.1", "port": "http"}
         ))
         assert response["status"] == "error"
-        assert response["error_code"] == "conflict"
-        assert "tenant" in response["message"]
-
-    def test_batch_runner_guards_the_admission_race(self, workspace,
-                                                    monkeypatch):
-        """Remote can turn active between admission and batch execution
-        (register_worker mid-flight); the runner must still refuse."""
-        from repro.errors import ServiceError
-        from repro.net.gateway import _Submission
-
-        gateway = JobGateway(_daemon(workspace))
-        monkeypatch.setattr(gateway, "_remote_active", lambda: True)
-        submission = _Submission(spec=TASK_XML, algorithm=None, tenant="acme",
-                                 priority=0, weight=1.0, arrival=0.0)
-        gateway._execute_batch([submission])
-        with pytest.raises(ServiceError, match="service scheduling metadata"):
-            submission.future.result(timeout=1)
-
-    def test_default_metadata_is_not_flagged(self):
-        from repro.net.gateway import _Submission
-
-        submission = _Submission(spec=TASK_XML, algorithm=None,
-                                 tenant="default", priority=0, weight=1.0,
-                                 arrival=0.0)
-        assert submission.service_metadata() == {}
+        assert response["error_code"] == "bad_request"
+        assert "port" in response["message"]
 
 
 class TestJobIdValidation:

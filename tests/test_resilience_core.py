@@ -238,18 +238,18 @@ class TestDaemonDeadLetterQueue:
         )
         state = {"left": fail_times}
 
-        original = APSTDaemon._simulate
+        original = APSTDaemon.run_segment
 
-        def flaky(self, scheduler, division, probe_units):
+        def flaky(self, *args, **kwargs):
             if state["left"] > 0:
                 state["left"] -= 1
                 raise JobUnrecoverableError(
                     "every worker failed its probe",
                     failure_chain=["worker w1 quarantined: probe failure"],
                 )
-            return original(self, scheduler, division, probe_units)
+            return original(self, *args, **kwargs)
 
-        monkeypatch.setattr(APSTDaemon, "_simulate", flaky)
+        monkeypatch.setattr(APSTDaemon, "run_segment", flaky)
         return daemon
 
     def _submit(self, daemon, tmp_path):
@@ -314,10 +314,10 @@ class TestDaemonDeadLetterQueue:
             failure_grid(), config=DaemonConfig(base_dir=tmp_path, seed=0)
         )
 
-        def broken(self, scheduler, division, probe_units):
+        def broken(self, *args, **kwargs):
             raise ExecutionError("transient: not a dead-letter case")
 
-        monkeypatch.setattr(APSTDaemon, "_simulate", broken)
+        monkeypatch.setattr(APSTDaemon, "run_segment", broken)
         self._submit(daemon, tmp_path)
         daemon.run_pending(raise_on_error=False)
         assert daemon.dlq_entries() == []

@@ -1,9 +1,14 @@
 """End-to-end tests for MultiJobService over the APST daemon."""
 
+import asyncio
+
 import pytest
 
 from repro.apst.daemon import APSTDaemon, DaemonConfig, JobState
 from repro.errors import ServiceError, SpecificationError
+from repro.net import JobGateway
+from repro.net.gateway import _Submission
+from repro.obs import Observability
 from repro.platform.presets import das2_cluster
 from repro.service import MultiJobService
 
@@ -44,7 +49,8 @@ class TestRun:
             assert service.daemon.report(job_id) is outcome.reports[job_id]
 
     def test_single_fifo_job_matches_run_pending_exactly(self, workspace):
-        """Degeneration: one job under the service == the sequential daemon."""
+        """Degeneration: one job under the service == the sequential daemon
+        == the same job through the gateway (one route, three fronts)."""
         sequential = _daemon(workspace)
         seq_id = sequential.submit(TASK_XML)
         sequential.run_pending()
@@ -54,6 +60,15 @@ class TestRun:
         outcome = service.run()
 
         assert outcome.reports[svc_id] == sequential.report(seq_id)
+
+        fronted = _daemon(workspace)
+        submission = _Submission(TASK_XML, {})
+        JobGateway(fronted)._execute_batch([submission])
+        gw_id = submission.future.result(timeout=1)
+        assert fronted.report(gw_id) == sequential.report(seq_id)
+        assert asyncio.run(
+            JobGateway(fronted).handle_request({"verb": "status", "job_id": gw_id})
+        )["jobs"][0]["makespan"] == sequential.report(seq_id).makespan
 
     def test_single_fair_share_job_also_degenerates(self, workspace):
         sequential = _daemon(workspace)
@@ -73,6 +88,54 @@ class TestRun:
         assert "missing.bin" in service.daemon.job(bad).error
         assert service.daemon.job(good).state is JobState.DONE
         assert set(outcome.reports) == {good}
+
+    def test_unrecoverable_job_fails_alone(self, workspace, doom_algorithm):
+        """Batch-mates of a failed job run to completion; only the job
+        whose segment raised is FAILED and parked."""
+        service = MultiJobService(_daemon(workspace), policy="fair-share")
+        ids = [
+            service.submit(TASK_XML),
+            service.submit(TASK_XML, algorithm="simple-2"),
+            service.submit(TASK_XML),
+        ]
+        doom_algorithm("simple-2")
+        outcome = service.run()  # does not raise
+        states = [service.daemon.job(j).state for j in ids]
+        assert states == [JobState.DONE, JobState.FAILED, JobState.DONE]
+        assert set(outcome.reports) == {ids[0], ids[2]}
+        assert set(outcome.failures) == {ids[1]}
+        (entry,) = service.daemon.dlq_entries()
+        assert entry.job_id == ids[1]
+        assert entry.failure_chain[0].startswith("worker w1 quarantined")
+
+    @pytest.mark.parametrize("policy, slots, segment_is_baseline",
+                             [("fair-share", None, True), ("static", 2, False)])
+    def test_armed_service_run_counts_each_chunk_once(
+        self, workspace, policy, slots, segment_is_baseline
+    ):
+        """The dedicated-makespan baseline is a counterfactual: it must
+        not show up in the metrics or the event stream."""
+        obs = Observability.armed()
+        service = MultiJobService(
+            _daemon(workspace, observability=obs), policy=policy, slots=slots
+        )
+        job_id = service.submit(TASK_XML)
+        outcome = service.run()
+        report = outcome.reports[job_id]
+        dispatched = sum(
+            m.value for m in obs.metrics.metrics()
+            if m.name == "repro_chunks_dispatched_total"
+        )
+        assert dispatched == report.num_chunks
+        for name in ("chunk.dispatched", "chunk.completed"):
+            assert len(obs.ring_events(name)) == report.num_chunks, name
+        (record,) = outcome.service.records
+        if segment_is_baseline:
+            # one full-platform segment is its own baseline: nothing re-run
+            assert record.dedicated_makespan == report.makespan
+        else:
+            # half the platform: the baseline really ran (un-observed)
+            assert record.dedicated_makespan < report.makespan
 
     def test_tenants_are_charged_worker_seconds(self, workspace):
         service = MultiJobService(_daemon(workspace), policy="fair-share")
